@@ -4,9 +4,12 @@ Every endpoint, length, and translation in this library is a
 :class:`QuadNum`, the value ``(p + q*sqrt(d)) / r`` with arbitrary-precision
 integers.  The representation is canonical (``r > 0``, ``gcd(p, q, r) == 1``,
 and ``q == 0`` whenever ``d <= 1``), so equality of values is equality of
-representations and comparisons reduce to integer sign tests.  Floating point
-is never consulted except by :meth:`QuadNum.__float__`, which exists for
-display and sanity checks only.
+representations.  A comparison is one integer sign test on the
+cross-multiplied coordinates ``(p1 r2 - p2 r1) + (q1 r2 - q2 r1) sqrt(d)``
+(``p^2`` against ``q^2 d`` when the two parts differ in sign); no difference
+object is built.  Sums and differences are computed from the coordinates
+directly and canonicalized once.  Floating point is never consulted except by
+:meth:`QuadNum.__float__`, which exists for display and sanity checks only.
 
 A single radicand ``d`` is shared by all numbers of one instance.  Purely
 rational values are normalized to ``d == 0`` and mix freely with any
@@ -27,77 +30,102 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
+def _quad_sign(p: int, q: int, d: int) -> int:
+    """Exact sign of ``p + q*sqrt(d)``, by integer arithmetic only."""
+    if q == 0:
+        return _sign(p)
+    if p == 0:
+        return _sign(q)
+    if p > 0 and q > 0:
+        return 1
+    if p < 0 and q < 0:
+        return -1
+    # Opposite signs: compare p^2 against q^2 d.
+    if p > 0:
+        return _sign(p * p - q * q * d)
+    return _sign(q * q * d - p * p)
+
+
+def _mismatch(d1: int, d2: int) -> ValueError:
+    return ValueError(f"mismatched radicands: sqrt({d1}) vs sqrt({d2})")
+
+
+_set = object.__setattr__
+
+
 class QuadNum:
     """(p + q*sqrt(d)) / r, canonicalized on construction."""
 
     __slots__ = ("p", "q", "r", "d")
 
     def __init__(self, p: int, q: int = 0, r: int = 1, d: int = 0):
-        if r == 0:
-            raise ValueError("zero denominator")
-        if d < 0:
-            raise ValueError(f"negative radicand {d}")
-        if d <= 1:
-            # sqrt(0) = 0 and sqrt(1) = 1 fold into the rational part.
-            p, q = p + q * d, 0
-        if q == 0:
-            d = 0
-        if r < 0:
+        if r <= 0:
+            if r == 0:
+                raise ValueError("zero denominator")
             p, q, r = -p, -q, -r
-        g = gcd(gcd(abs(p), abs(q)), r)
-        if g > 1:
+        if d <= 1:
+            if d < 0:
+                raise ValueError(f"negative radicand {d}")
+            # sqrt(0) = 0 and sqrt(1) = 1 fold into the rational part.
+            p, q, d = p + q * d, 0, 0
+        elif q == 0:
+            d = 0
+        g = gcd(p, q, r)
+        if g != 1:
             p, q, r = p // g, q // g, r // g
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "d", d)
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "r", r)
+        _set(self, "d", d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadNum is immutable")
 
-    # -- radicand handling ------------------------------------------------
-
-    def _match(self, other) -> "QuadNum":
-        if isinstance(other, int):
-            other = QuadNum(other)
-        if not isinstance(other, QuadNum):
-            return NotImplemented
-        if self.d != other.d and self.q != 0 and other.q != 0:
-            raise ValueError(f"mismatched radicands: sqrt({self.d}) vs sqrt({other.d})")
-        return other
-
-    def _dd(self, other: "QuadNum") -> int:
-        return self.d if self.q != 0 else other.d
-
     # -- arithmetic --------------------------------------------------------
+    #
+    # Operands are read as integer coordinates; a rational operand (q == 0,
+    # d == 0) takes the radicand of the other, so ``self.d or other.d`` is
+    # the radicand of the result.
 
     def __add__(self, other) -> "QuadNum":
-        other = self._match(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadNum(
-            self.p * other.r + other.p * self.r,
-            self.q * other.r + other.q * self.r,
-            self.r * other.r,
-            self._dd(other),
-        )
+        p, q, r, d = self.p, self.q, self.r, self.d
+        if isinstance(other, QuadNum):
+            if other.d != d and q and other.q:
+                raise _mismatch(d, other.d)
+            if other.r == r:
+                return QuadNum(p + other.p, q + other.q, r, d or other.d)
+            return QuadNum(p * other.r + other.p * r, q * other.r + other.q * r, r * other.r, d or other.d)
+        if isinstance(other, int):
+            return QuadNum(p + other * r, q, r, d)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "QuadNum":
-        other = self._match(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        p, q, r, d = self.p, self.q, self.r, self.d
+        if isinstance(other, QuadNum):
+            if other.d != d and q and other.q:
+                raise _mismatch(d, other.d)
+            if other.r == r:
+                return QuadNum(p - other.p, q - other.q, r, d or other.d)
+            return QuadNum(p * other.r - other.p * r, q * other.r - other.q * r, r * other.r, d or other.d)
+        if isinstance(other, int):
+            return QuadNum(p - other * r, q, r, d)
+        return NotImplemented
 
     def __rsub__(self, other) -> "QuadNum":
-        return (-self) + other
+        if isinstance(other, int):
+            return QuadNum(other * self.r - self.p, -self.q, self.r, self.d)
+        return NotImplemented
 
     def __mul__(self, other) -> "QuadNum":
-        other = self._match(other)
-        if other is NotImplemented:
+        if isinstance(other, int):
+            other = QuadNum(other)
+        elif not isinstance(other, QuadNum):
             return NotImplemented
-        d = self._dd(other)
+        elif other.d != self.d and self.q and other.q:
+            raise _mismatch(self.d, other.d)
+        d = self.d or other.d
         return QuadNum(
             self.p * other.p + self.q * other.q * d,
             self.p * other.q + self.q * other.p,
@@ -114,48 +142,45 @@ class QuadNum:
 
     def sign(self) -> int:
         """Exact sign, by integer arithmetic only."""
-        p, q, d = self.p, self.q, self.d
-        if q == 0:
-            return _sign(p)
-        if p == 0:
-            return _sign(q)
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # Opposite signs: compare p^2 against q^2 d.
-        if p > 0:
-            return _sign(p * p - q * q * d)
-        return _sign(q * q * d - p * p)
+        return _quad_sign(self.p, self.q, self.d)
 
     def _cmp(self, other) -> int:
-        diff = self - other
-        if diff is NotImplemented:
-            return NotImplemented
-        return diff.sign()
+        """Sign of ``self - other`` from the cross-multiplied coordinates
+        ``(p1 r2 - p2 r1) + (q1 r2 - q2 r1) sqrt(d)``; no number is built."""
+        if isinstance(other, QuadNum):
+            q1, q2 = self.q, other.q
+            if other.d != self.d and q1 and q2:
+                raise _mismatch(self.d, other.d)
+            r1, r2 = self.r, other.r
+            if r1 == r2:
+                return _quad_sign(self.p - other.p, q1 - q2, self.d or other.d)
+            return _quad_sign(self.p * r2 - other.p * r1, q1 * r2 - q2 * r1, self.d or other.d)
+        if isinstance(other, int):
+            return _quad_sign(self.p - other * self.r, self.q, self.d)
+        return NotImplemented
 
     def __lt__(self, other):
         c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c < 0
+        return c if c is NotImplemented else c < 0
 
     def __le__(self, other):
         c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0
+        return c if c is NotImplemented else c <= 0
 
     def __gt__(self, other):
         c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0
+        return c if c is NotImplemented else c > 0
 
     def __ge__(self, other):
         c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0
+        return c if c is NotImplemented else c >= 0
 
     def __eq__(self, other):
+        if isinstance(other, QuadNum):
+            return self.p == other.p and self.q == other.q and self.r == other.r and self.d == other.d
         if isinstance(other, int):
-            other = QuadNum(other)
-        if not isinstance(other, QuadNum):
-            return NotImplemented
-        return (self.p, self.q, self.r, self.d) == (other.p, other.q, other.r, other.d)
+            return self.q == 0 and self.r == 1 and self.p == other
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.p, self.q, self.r, self.d))
@@ -207,16 +232,23 @@ class QuadNum:
 
 
 def is_square_free(n: int) -> bool:
-    """True when no square > 1 divides n (0 and 1 count as square-free here)."""
+    """True when no square > 1 divides n (0 and 1 count as square-free here).
+
+    Trial division runs only up to the cube root of what is left: once no
+    prime below ``k`` divides the cofactor ``m`` and ``k**3 > m``, ``m`` is
+    1, a prime, or a product of two primes, and it is square-free exactly
+    when it is not a perfect square.
+    """
     if n < 0:
         return False
     if n <= 3:
         return True
-    if n % 4 == 0:
-        return False
-    k = 3
-    while k <= isqrt(n):
-        if n % (k * k) == 0:
-            return False
-        k += 2
-    return True
+    m = n
+    k = 2
+    while k * k * k <= m:
+        if m % k == 0:
+            m //= k
+            if m % k == 0:
+                return False
+        k += 1 if k == 2 else 2
+    return m == 1 or isqrt(m) ** 2 != m

@@ -55,9 +55,10 @@ from .rauzy import (
 )
 from .words import OrderedAlphabet, Permutation
 
-DEFAULT_KEANE_DEPTH = int(os.environ.get("IETKIT_KEANE_DEPTH", "1000"))
-_CAP_ENV = os.environ.get("IETKIT_INDUCTION_CAP")
-DEFAULT_INDUCTION_CAP = int(_CAP_ENV) if _CAP_ENV else None
+DEFAULT_KEANE_DEPTH = 1000
+# Radicands above this are refused: checking square-freeness costs about
+# d ** (1/3) trial divisions.
+MAX_RADICAND = 10**18
 
 
 class IetFileError(ValueError):
@@ -104,6 +105,8 @@ def parse_iet_file(path: str) -> Iet:
                 raise IetFileError(line_no, f"radicand must be an integer, got {value!r}") from None
             if d_line is not None and new_d != d:
                 raise IetFileError(line_no, f"mixed radicands: d = {d} then d = {new_d}")
+            if new_d > MAX_RADICAND:
+                raise IetFileError(line_no, f"radicand {new_d} is larger than 10**18")
             if not is_square_free(new_d):
                 raise IetFileError(line_no, f"radicand {new_d} is not square-free")
             d, d_line = new_d, line_no
@@ -232,7 +235,7 @@ def verify_return_words(
     iet: Iet,
     max_len: int,
     keane_depth: int = DEFAULT_KEANE_DEPTH,
-    cap: int | None = DEFAULT_INDUCTION_CAP,
+    cap: int | None = None,
     trace: bool = False,
 ) -> VerificationReport:
     """Check the clustering property of all return words up to ``max_len``.
@@ -627,7 +630,7 @@ def _cmd_iet_rauzy(args) -> int:
     if args.steps == "auto":
         if args.word is None:
             raise ValueError("--steps auto needs --word")
-        trace = induce_to_cylinder(iet, _word_arg(args.word), cap=DEFAULT_INDUCTION_CAP)
+        trace = induce_to_cylinder(iet, _word_arg(args.word), cap=args.cap)
         for i, record in enumerate(trace.steps, start=1):
             print(_describe_step(i, record, step_morphism(record)))
             _print_iet(trace.states[i], indent="  ")
@@ -651,7 +654,7 @@ def _cmd_iet_returns(args) -> int:
     key = lambda u: (len(u), alphabet.key(u))
     induced = scanned = None
     if args.method in ("induction", "both"):
-        trace = induce_to_cylinder(iet, word, cap=DEFAULT_INDUCTION_CAP)
+        trace = induce_to_cylinder(iet, word, cap=args.cap)
         induced = frozenset(trace.theta(c) for c in trace.theta.source)
         if args.trace:
             steps = " ".join(r.kind for r in trace.steps)
@@ -718,7 +721,7 @@ def _cmd_verify(args) -> int:
             iet,
             args.max_len,
             keane_depth=args.keane_depth,
-            cap=DEFAULT_INDUCTION_CAP,
+            cap=args.cap,
             trace=args.trace,
         )
     except KeaneCheckFailed as exc:
@@ -734,7 +737,18 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _env_int(name: str) -> int | None:
+    """The nonnegative integer in environment variable ``name``, or None
+    when it is unset or empty."""
+    text = os.environ.get(name, "").strip()
+    if not text:
+        return None
+    if not text.isdecimal():
+        raise ValueError(f"{name} must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
+def _build_parser(keane_depth: int = DEFAULT_KEANE_DEPTH) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ietkit",
         description="Exact interval exchanges, Rauzy induction, and clustering analysis",
@@ -787,7 +801,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = isub.add_parser("check", help="validate and run the connection check")
     c.add_argument("file")
-    c.add_argument("--depth", type=int, default=DEFAULT_KEANE_DEPTH)
+    c.add_argument("--depth", type=int, default=keane_depth)
     c.set_defaults(func=_cmd_iet_check)
 
     c = isub.add_parser("traj", help="orbit coding of a point")
@@ -833,7 +847,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="return-word clustering verification of an instance")
     p.add_argument("file")
     p.add_argument("--max-len", type=int, default=4)
-    p.add_argument("--keane-depth", type=int, default=DEFAULT_KEANE_DEPTH)
+    p.add_argument("--keane-depth", type=int, default=keane_depth)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None, help="write the report to this path")
     p.add_argument("--trace", action="store_true")
@@ -843,8 +857,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    try:
+        keane_depth = _env_int("IETKIT_KEANE_DEPTH")
+        cap = _env_int("IETKIT_INDUCTION_CAP")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    parser = _build_parser(DEFAULT_KEANE_DEPTH if keane_depth is None else keane_depth)
     args = parser.parse_args(argv)
+    args.cap = cap
     if getattr(args, "command", None) == "extgraph" and args.depth is None:
         args.depth = len(_word_arg(args.word)) + 2
     try:

@@ -20,6 +20,7 @@ intersections and no factor can be missed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from collections.abc import Mapping
 
@@ -160,20 +161,26 @@ class Iet:
         self._lengths = lens
         self._origin = QuadNum(origin) if isinstance(origin, int) else origin
 
-        dom_left: dict[str, QuadNum] = {}
-        x = self._origin
-        for c in alphabet:
-            dom_left[c] = x
-            x = x + lens[c]
-        self._end = x
-        img_left: dict[str, QuadNum] = {}
-        y = self._origin
-        for c in self.image_order_letters():
-            img_left[c] = y
-            y = y + lens[c]
-        self._dom_left = dom_left
-        self._img_left = img_left
-        self._tau = {c: img_left[c] - dom_left[c] for c in alphabet}
+        # Piece tables: the boundaries [origin, cut_1, ..., end] of the
+        # domain and of the image partition, and one (letter, left, right,
+        # tau) row per domain piece.
+        letters = alphabet.letters
+        self._image_letters = self.image_order_letters()
+        self._bounds = self._partition(letters)
+        self._image_bounds = self._partition(self._image_letters)
+        self._img_left = dict(zip(self._image_letters, self._image_bounds))
+        self._tau = {c: self._img_left[c] - left for c, left in zip(letters, self._bounds)}
+        self._pieces = tuple(
+            zip(letters, self._bounds, self._bounds[1:], (self._tau[c] for c in letters))
+        )
+        self._row = {row[0]: row for row in self._pieces}
+        self._domain = Interval(self._origin, self._bounds[-1])
+
+    def _partition(self, letters: tuple[str, ...]) -> list[QuadNum]:
+        bounds = [self._origin]
+        for c in letters:
+            bounds.append(bounds[-1] + self._lengths[c])
+        return bounds
 
     # -- structure ----------------------------------------------------------
 
@@ -203,7 +210,7 @@ class Iet:
 
     @property
     def domain(self) -> Interval:
-        return Interval(self._origin, self._end)
+        return self._domain
 
     def image_order_letters(self) -> tuple[str, ...]:
         letters = self._alphabet.letters
@@ -211,8 +218,8 @@ class Iet:
 
     def interval(self, letter: str) -> Interval:
         """The domain piece of ``letter``."""
-        left = self._dom_left[letter]
-        return Interval(left, left + self._lengths[letter])
+        _, left, right, _ = self._row[letter]
+        return Interval(left, right)
 
     def image_interval(self, letter: str) -> Interval:
         left = self._img_left[letter]
@@ -243,31 +250,23 @@ class Iet:
 
     def letter_at(self, x: QuadNum) -> str:
         """The letter of the domain piece containing ``x``."""
-        if self.domain.contains(x):
-            for c in self._alphabet:
-                left = self._dom_left[c]
-                if left <= x < left + self._lengths[c]:
-                    return c
-        raise ValueError(f"point {x} is outside the domain {self.domain}")
+        i = bisect_right(self._bounds, x)
+        if 0 < i < len(self._bounds):
+            return self._pieces[i - 1][0]
+        raise ValueError(f"point {x} is outside the domain {self._domain}")
 
     def apply(self, x: QuadNum) -> QuadNum:
         return x + self._tau[self.letter_at(x)]
 
     def apply_inverse(self, y: QuadNum) -> QuadNum:
-        if self.domain.contains(y):
-            for c in self._alphabet:
-                left = self._img_left[c]
-                if left <= y < left + self._lengths[c]:
-                    return y - self._tau[c]
-        raise ValueError(f"point {y} is outside the domain {self.domain}")
+        i = bisect_right(self._image_bounds, y)
+        if 0 < i < len(self._image_bounds):
+            return y - self._tau[self._image_letters[i - 1]]
+        raise ValueError(f"point {y} is outside the domain {self._domain}")
 
     def discontinuities(self) -> tuple[tuple[QuadNum, ...], tuple[QuadNum, ...]]:
         """(D(T), D(T^-1)): interior division points of the domain and image partitions."""
-        letters = self._alphabet.letters
-        d_map = tuple(self._dom_left[c] for c in letters[1:])
-        image_letters = self.image_order_letters()
-        d_inv = tuple(self._img_left[c] for c in image_letters[1:])
-        return d_map, d_inv
+        return tuple(self._bounds[1:-1]), tuple(self._image_bounds[1:-1])
 
     def check_keane(self, depth: int = 1000) -> KeaneVerdict:
         """Search for a connection by iterating each inverse-discontinuity forward.
@@ -306,30 +305,44 @@ class Iet:
         is not in the language.
         """
         self._alphabet.require(w)
-        current = self.domain
-        shift = QuadNum(0)
+        # [lo, hi) is T^k of the cylinder of the first k letters, and shift
+        # the translation T^k applies on it.
+        lo, hi = self._domain.left, self._domain.right
+        shift = 0
         for c in w:
-            current = current.intersect(self.interval(c).translate(-shift))
-            if current.is_empty:
+            _, left, right, tau = self._row[c]
+            if left > lo:
+                lo = left
+            if right < hi:
+                hi = right
+            if lo >= hi:
                 return EMPTY
-            shift = shift + self._tau[c]
-        return current
+            lo, hi, shift = lo + tau, hi + tau, tau + shift
+        return Interval(lo - shift, hi - shift)
 
     def language(self, n: int) -> set[str]:
-        """All factors of length <= n, by exact cylinder refinement."""
+        """All factors of length <= n, by exact cylinder refinement.
+
+        Each word ``w`` of length k carries the image ``T^k(cyl(w))`` as a
+        pair ``[lo, hi)``; the image of ``cyl(wc)`` is that pair cut to the
+        piece of ``c`` and moved by its translation.
+        """
         if n < 0:
             raise ValueError("maximal length must be nonnegative")
         words: set[str] = {""}
-        level: list[tuple[str, Interval, QuadNum]] = [("", self.domain, QuadNum(0))]
+        level = [("", self._domain.left, self._domain.right)]
         for _ in range(n):
             next_level = []
-            for w, block, shift in level:
-                for c in self._alphabet:
-                    child = block.intersect(self.interval(c).translate(-shift))
-                    if not child.is_empty:
-                        next_level.append((w + c, child, shift + self._tau[c]))
-            for w, _, _ in next_level:
-                words.add(w)
+            for w, lo, hi in level:
+                for c, left, right, tau in self._pieces:
+                    if right <= lo:
+                        continue
+                    if hi <= left:
+                        break
+                    a = left if left > lo else lo
+                    b = right if right < hi else hi
+                    next_level.append((w + c, a + tau, b + tau))
+            words.update(w for w, _, _ in next_level)
             level = next_level
         return words
 

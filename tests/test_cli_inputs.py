@@ -1,0 +1,88 @@
+"""CLI input handling: report bytes, environment variables and radicands."""
+
+import os
+import pathlib
+import subprocess
+import sys
+import time
+
+import pytest
+
+import ietkit
+from ietkit.cli import IetFileError, main, parse_iet_file
+
+DATA = pathlib.Path(__file__).parent / "data"
+EXPECTED = DATA / "expected"
+
+
+@pytest.mark.parametrize("name, status", [("golden", 0), ("sqrt2_4", 1)])
+def test_verify_json_bytes_unchanged(tmp_path, name, status):
+    """The structured report at --max-len 6 is byte-identical to the one
+    recorded in tests/data/expected (sqrt2_4 keeps its known scan-horizon
+    failure, hence exit status 1)."""
+    out = tmp_path / "report.json"
+    code = main(["verify", "--format", "json", "--max-len", "6", "--output", str(out), str(DATA / f"{name}.iet")])
+    assert code == status
+    assert out.read_bytes() == (EXPECTED / f"verify_{name}_6.json").read_bytes()
+
+
+ENV_VARS = ("IETKIT_KEANE_DEPTH", "IETKIT_INDUCTION_CAP")
+
+
+@pytest.mark.parametrize("name", ENV_VARS)
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
+def test_bad_environment_value_is_a_clean_error(capsys, monkeypatch, golden_file, name, value):
+    monkeypatch.setenv(name, value)
+    code = main(["iet", "check", golden_file, "--depth", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {name} must be a nonnegative integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("name", ENV_VARS)
+def test_bad_environment_value_from_the_command_line(golden_file, name):
+    """The variables are read when the command runs, not at import, so the
+    process exits 2 with one line and no traceback."""
+    env = dict(os.environ, **{name: "abc"})
+    env["PYTHONPATH"] = str(pathlib.Path(ietkit.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "ietkit.cli", "iet", "check", golden_file],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [f"error: {name} must be a nonnegative integer, got 'abc'"]
+
+
+def test_keane_depth_variable_sets_the_default(capsys, monkeypatch, golden_file):
+    monkeypatch.setenv("IETKIT_KEANE_DEPTH", "7")
+    assert main(["iet", "check", golden_file]) == 0
+    assert "no connection up to depth 7" in capsys.readouterr().out
+
+
+def test_induction_cap_variable_bounds_the_search(capsys, monkeypatch, golden_file):
+    monkeypatch.setenv("IETKIT_INDUCTION_CAP", "1")
+    assert main(["iet", "returns", golden_file, "--word", "cbb", "--method", "induction"]) == 2
+    assert "within 1 steps" in capsys.readouterr().err
+
+
+def write_instance(tmp_path, d: int) -> str:
+    path = tmp_path / "big.iet"
+    path.write_text(f"alphabet = ab\nd = {d}\npi = ba\nlen.a = (1)\nlen.b = (1, 1, 2)\n")
+    return str(path)
+
+
+def test_fifteen_digit_radicand_parses_quickly(tmp_path):
+    path = write_instance(tmp_path, 100000000000031)
+    start = time.perf_counter()
+    iet = parse_iet_file(path)
+    assert time.perf_counter() - start < 0.2
+    assert iet.length("b").d == 100000000000031
+
+
+def test_huge_radicand_rejected_with_line_number(tmp_path, capsys):
+    path = write_instance(tmp_path, 10**39 + 7)
+    with pytest.raises(IetFileError, match=r"^line 2: radicand \d{40} is larger than 10\*\*18$"):
+        parse_iet_file(path)
+    assert main(["iet", "check", path]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: radicand")
