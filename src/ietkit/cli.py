@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass
 
 from .arith import QuadNum, is_square_free
-from .bwt import ClusteringReport, bwt, clustering_report, ebwt, inverse_ebwt, multiset_clustering_report
+from .bwt import ClusteringReport, clustering_report, inverse_ebwt, multiset_clustering_report
 from .diet import Diet, diet_action, diet_cylinder, orbit_words
 from .extgraph import (
     LanguageSample,
@@ -496,18 +496,16 @@ def _orders_for(sample: LanguageSample, entries, source_pi, spec: str):
 def _cmd_bwt(args) -> int:
     alphabet = args.alphabet
     word = alphabet.require(args.word)
-    transform = bwt(word, alphabet)
-    print(f"transform: {transform}")
     report = clustering_report(word, alphabet)
+    print(f"transform: {report.transform}")
     _write_json(args.json, _cluster_payload(word, report))
     return 0
 
 
 def _cmd_ebwt(args) -> int:
     alphabet = args.alphabet
-    transform = ebwt(args.words, alphabet)
-    print(f"transform: {transform}")
     report = multiset_clustering_report(args.words, alphabet)
+    print(f"transform: {report.transform}")
     _write_json(args.json, _cluster_payload(" ".join(args.words), report))
     return 0
 

@@ -209,6 +209,8 @@ def classify(
     up_to: int,
 ) -> ClassifyReport:
     """Check every word of length <= up_to; all verdicts are depth-bounded."""
+    if up_to < 0:
+        raise ValueError(f"classification depth must be nonnegative, got {up_to}")
     if up_to + 2 > sample.max_len:
         raise ValueError(
             f"classification up to length {up_to} needs sample depth {up_to + 2}, "

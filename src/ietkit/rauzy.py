@@ -25,6 +25,11 @@ composition over a step sequence that shrinks the domain onto the cylinder
 of a word w maps letters to the return words of w.  The composition order
 puts the earliest step outermost; the morphism of a step is read off the
 transformation the step acts on (not the one it produces).
+
+The step sequence onto a cylinder is a walk that takes, at each state, a
+step whose cut keeps the cylinder inside the domain.  Cylinders of a regular
+transformation are admissible intervals (Dolce and Perrin, 2017), so such a
+step exists and never leads to a dead end: every step built is kept.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ class ZeroConnectionError(ValueError):
 
 
 class InductionCapError(RuntimeError):
-    """The step-sequence search exhausted its budget without a certificate."""
+    """The induction walk took ``cap`` steps, or got stuck on a connection."""
 
 
 @dataclass(frozen=True)
@@ -177,39 +182,16 @@ def step_morphism(record: StepRecord) -> Morphism:
     return Morphism(record.post_alphabet, record.pre_alphabet, images)
 
 
-def _search(
-    start: Iet, target: Interval, cap: int, prefer_left: bool
-) -> list[tuple[StepRecord, Iet]] | None:
-    """Depth-first search for a step sequence whose final domain is ``target``.
-
-    Returns the (record, state) path, or None when the budget ran out.  Steps
-    whose domain no longer contains the target are pruned; zero-connection
-    steps are treated as dead branches.
-    """
-    budget = cap
-    order = (LEFT, RIGHT) if prefer_left else (RIGHT, LEFT)
-
-    def walk(iet: Iet, path: list[tuple[StepRecord, Iet]]):
-        nonlocal budget
-        if iet.domain == target:
-            return path
-        for kind in order:
-            if budget <= 0:
-                return None
-            budget -= 1
-            try:
-                nxt, record = _step(iet, kind)
-            except ValueError:
-                # Zero-connection or degenerate state: a dead branch, not a crash.
-                continue
-            if not nxt.domain.contains_interval(target):
-                continue
-            result = walk(nxt, path + [(record, nxt)])
-            if result is not None:
-                return result
-        return None
-
-    return walk(start, [])
+def _keeps(iet: Iet, kind: str, target: Interval) -> bool:
+    """Whether a ``kind`` step keeps ``target`` inside the domain, read off
+    the last (right) or first (left) cuts of both partitions before the step
+    is built.  Equal cuts are a zero connection, where no step is defined."""
+    d_map, d_inv = iet.discontinuities()
+    if kind == RIGHT:
+        a, b = d_map[-1], d_inv[-1]
+        return a != b and target.right <= max(a, b)
+    a, b = d_map[0], d_inv[0]
+    return a != b and min(a, b) <= target.left
 
 
 def induce_to_cylinder(
@@ -217,26 +199,39 @@ def induce_to_cylinder(
 ) -> InductionTrace:
     """Certified induction of ``iet`` onto the cylinder of ``w``.
 
-    The caller is responsible for regularity (see ``Iet.check_keane``); on a
-    transformation with connections the search fails honestly with
-    :class:`InductionCapError` instead of producing a wrong answer.
+    Each step takes the preferred side when it keeps the cylinder inside
+    the domain, and the other side otherwise; ``cap`` bounds the steps
+    taken.  The caller is responsible for regularity (see
+    ``Iet.check_keane``); on a transformation with connections the walk
+    fails honestly with :class:`InductionCapError` instead of producing a
+    wrong answer.
     """
     target = iet.cylinder(w)
     if target.is_empty:
         raise ValueError(f"{w!r} is not in the language of this transformation")
     if cap is None:
         cap = 64 * (len(w) + 1)
-    path = _search(iet, target, cap, prefer_left)
-    if path is None:
-        raise InductionCapError(
-            f"no step sequence onto the cylinder of {w!r} within {cap} steps"
-        )
-    steps = tuple(record for record, _ in path)
-    states = (iet,) + tuple(state for _, state in path)
+    order = (LEFT, RIGHT) if prefer_left else (RIGHT, LEFT)
+    steps: list[StepRecord] = []
+    states = [iet]
+    while states[-1].domain != target:
+        if len(steps) >= cap:
+            raise InductionCapError(
+                f"no step sequence onto the cylinder of {w!r} within {cap} steps"
+            )
+        kind = next((k for k in order if _keeps(states[-1], k, target)), None)
+        if kind is None:
+            raise InductionCapError(
+                f"no step keeps the cylinder of {w!r} inside the domain "
+                f"(steps taken: {len(steps)}); the transformation has a connection"
+            )
+        state, record = _step(states[-1], kind)
+        steps.append(record)
+        states.append(state)
     theta = identity(states[-1].alphabet)
     for record in reversed(steps):
         theta = compose(step_morphism(record), theta)
-    return InductionTrace(steps=steps, states=states, final=states[-1], theta=theta)
+    return InductionTrace(tuple(steps), tuple(states), states[-1], theta)
 
 
 def return_words_induction(iet: Iet, w: str, cap: int | None = None) -> frozenset[str]:
