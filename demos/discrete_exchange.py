@@ -6,13 +6,13 @@ Run from the repository root after `pip install -e .`:
 """
 
 from ietkit import (
+    Diet,
     OrderedAlphabet,
     Permutation,
     as_iet,
     diet_action,
     diet_cylinder,
     diet_from_multiset,
-    make_diet,
     orbit_words,
 )
 
@@ -21,7 +21,7 @@ abc = OrderedAlphabet("abc")
 # Composition (4, 2, 1) of 7 with the order-reversing permutation: the first
 # four points form block a, the next two block b, the last one block c,
 # and the blocks are rearranged in the order c, b, a.
-diet = make_diet([4, 2, 1], Permutation.symmetric(3))
+diet = Diet([4, 2, 1], Permutation.symmetric(3))
 print("composition:", diet.composition)
 print("shifts:     ", diet.shifts)
 

@@ -18,7 +18,7 @@ from .bwt import (
     multiset_clustering_report,
     multiset_parikh,
 )
-from .diet import Diet, as_iet, diet_action, diet_cylinder, diet_from_multiset, make_diet, orbit_words
+from .diet import Diet, as_iet, diet_action, diet_cylinder, diet_from_multiset, orbit_words
 from .extgraph import (
     ClassifyReport,
     ExtensionGraph,
@@ -121,7 +121,6 @@ __all__ = [
     "lyndon_representative",
     "make_alpha",
     "make_alpha_tilde",
-    "make_diet",
     "multiset_clustering_report",
     "multiset_parikh",
     "orbit_words",

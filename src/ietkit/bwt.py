@@ -10,8 +10,10 @@ contiguous block per letter; the block order then defines a permutation of
 the support alphabet, and the word is perfectly clustering when that
 permutation is order-reversing.
 
-Everything here is small-scale by design: rotation sort is quadratic and
-that is plenty for words of desk size.
+Both transforms share one rotation sort by prefix doubling: each round
+ranks every cyclic position by its first 2m letters, packing the ranks of
+its first m letters and of the m letters after them into one integer, so
+a transform of n letters takes O(n log^2 n) time and O(n) memory.
 """
 
 from __future__ import annotations
@@ -42,15 +44,48 @@ class ClusteringReport:
     is_perfect: bool
 
 
+def _rotation_sort(entries: tuple[str, ...], alphabet: OrderedAlphabet, span: int) -> str:
+    """Last letters of the rotations of all ``entries``, sorted by the
+    infinite periodic words they start, compared on their first ``span``
+    letters.
+
+    A round replaces the rank of each position's first k letters by the
+    rank of its first 2k: the pair (its own rank, the rank of the position
+    k letters further on in the same entry) packed into one integer.  Rounds stop once every rank
+    is distinct or k reaches ``span``; positions still tied then start the
+    same rotation, so they carry the same last letter.
+    """
+    ranks: list[int] = []
+    for w in entries:
+        ranks += alphabet.key(w)
+    n = len(ranks)
+    # Ranks are alphabet ranks in the first round and below n afterwards.
+    base = max(n, len(alphabet))
+    distinct = len(set(ranks))
+    k = 1
+    while k < span and distinct < n:
+        shifted: list[int] = []
+        start = 0
+        for w in entries:
+            end = start + len(w)
+            cut = start + k % len(w)
+            shifted += ranks[cut:end]
+            shifted += ranks[start:cut]
+            start = end
+        keys = [a * base + b for a, b in zip(ranks, shifted)]
+        dense = {key: r for r, key in enumerate(sorted(set(keys)))}
+        ranks = [dense[key] for key in keys]
+        distinct = len(dense)
+        k *= 2
+    last = "".join(w[-1] + w[:-1] for w in entries)
+    return "".join([last[p] for p in sorted(range(n), key=ranks.__getitem__)])
+
+
 def bwt(w: str, alphabet: OrderedAlphabet) -> str:
     """Last letters of the lexicographically sorted rotations of ``w``."""
     if not w:
         raise ValueError("cannot transform the empty word")
-    alphabet.require(w)
-    doubled = w + w
-    n = len(w)
-    rotations = sorted((doubled[i : i + n] for i in range(n)), key=alphabet.key)
-    return "".join(rot[-1] for rot in rotations)
+    return _rotation_sort((w,), alphabet, len(w))
 
 
 def _require_lyndon_entries(entries: tuple[str, ...], alphabet: OrderedAlphabet) -> None:
@@ -70,15 +105,9 @@ def ebwt(entries: Iterable[str], alphabet: OrderedAlphabet) -> str:
     """
     entries = tuple(entries)
     _require_lyndon_entries(entries, alphabet)
-    span = 2 * max(len(w) for w in entries)
-    rotations: list[str] = []
-    for w in entries:
-        doubled = w + w
-        rotations.extend(doubled[i : i + len(w)] for i in range(len(w)))
-    # Expanding every rotation to twice the maximal length decides the
-    # omega-order exactly (two distinct powers differ within |u| + |v|).
-    rotations.sort(key=lambda u: alphabet.key((u * (span // len(u) + 1))[:span]))
-    return "".join(u[-1] for u in rotations)
+    # Two distinct powers u^w and v^w differ within |u| + |v| letters, so
+    # prefixes of twice the longest entry decide the omega-order exactly.
+    return _rotation_sort(entries, alphabet, 2 * max(len(w) for w in entries))
 
 
 def inverse_ebwt(s: str, alphabet: OrderedAlphabet) -> tuple[str, ...]:

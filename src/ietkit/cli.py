@@ -544,12 +544,16 @@ def _cmd_morphism_apply(args) -> int:
 
 
 def _cmd_diet(args) -> int:
-    parts = [int(s) for s in args.composition.split(",") if s]
+    try:
+        parts = [int(s) for s in args.composition.split(",") if s]
+    except ValueError:
+        raise ValueError(f"--composition must be comma-separated integers, got {args.composition!r}") from None
     letters = args.alphabet or "abcdefghijklmnopqrstuvwxyz"[: len(parts)]
     alphabet = OrderedAlphabet(letters)
     pi = Permutation.parse(args.pi, alphabet)
     diet = Diet(parts, pi)
     mu = diet_action(diet)
+    cells = None if args.cylinder is None else diet_cylinder(diet, _word_arg(args.cylinder), alphabet)
     print(f"composition: {','.join(map(str, parts))}")
     print(f"pi: {pi.one_line_letters(alphabet)}")
     print(f"shifts: {','.join(map(str, diet.shifts))}")
@@ -559,8 +563,7 @@ def _cmd_diet(args) -> int:
         print(f"orbits: {cycles}")
     if args.words:
         print(f"orbit words: {' '.join(orbit_words(diet, alphabet))}")
-    if args.cylinder is not None:
-        cells = diet_cylinder(diet, _word_arg(args.cylinder), alphabet)
+    if cells is not None:
         shown = "{" + ",".join(map(str, sorted(cells))) + "}"
         print(f"cylinder {args.cylinder or 'ε'}: {shown}")
     return 0
@@ -574,6 +577,8 @@ def _print_iet(iet: Iet, indent: str = "") -> None:
 
 
 def _cmd_iet_check(args) -> int:
+    if args.depth < 0:
+        raise ValueError(f"--depth must be nonnegative, got {args.depth}")
     iet = parse_iet_file(args.file)
     _print_iet(iet)
     verdict = iet.check_keane(args.depth)
@@ -622,24 +627,21 @@ def _describe_step(i: int, record, morphism) -> str:
 
 
 def _cmd_iet_rauzy(args) -> int:
+    if args.steps == "auto" and args.word is None:
+        raise ValueError("--steps auto needs --word")
+    if args.steps != "auto" and not set(args.steps) <= {"r", "l"}:
+        raise ValueError(f"steps must be a word over 'r'/'l' or 'auto', got {args.steps!r}")
     iet = parse_iet_file(args.file)
+    trace = induce_to_cylinder(iet, _word_arg(args.word), cap=args.cap) if args.steps == "auto" else None
     print("start:")
     _print_iet(iet, indent="  ")
-    if args.steps == "auto":
-        if args.word is None:
-            raise ValueError("--steps auto needs --word")
-        trace = induce_to_cylinder(iet, _word_arg(args.word), cap=args.cap)
+    if trace is not None:
         for i, record in enumerate(trace.steps, start=1):
             print(_describe_step(i, record, step_morphism(record)))
             _print_iet(trace.states[i], indent="  ")
         return 0
     for i, letter in enumerate(args.steps, start=1):
-        if letter == "r":
-            iet, record = rauzy_right(iet)
-        elif letter == "l":
-            iet, record = rauzy_left(iet)
-        else:
-            raise ValueError(f"steps must be a word over 'r'/'l' or 'auto', got {args.steps!r}")
+        iet, record = rauzy_right(iet) if letter == "r" else rauzy_left(iet)
         print(_describe_step(i, record, step_morphism(record)))
         _print_iet(iet, indent="  ")
     return 0
@@ -670,6 +672,8 @@ def _cmd_iet_returns(args) -> int:
 
 
 def _cmd_extgraph(args) -> int:
+    if args.depth < 1:
+        raise ValueError(f"--depth must be at least 1, got {args.depth}")
     sample, entries, source_pi = _parse_source(args.source, args.alphabet, args.depth)
     word = _word_arg(args.word)
     graph = extension_graph(sample, word)
@@ -697,6 +701,10 @@ def _cmd_extgraph(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    if args.depth < 0:
+        # The message classify() itself gives, before the sample depth
+        # args.depth + 2 can fail on its own terms.
+        raise ValueError(f"classification depth must be nonnegative, got {args.depth}")
     sample, entries, source_pi = _parse_source(args.source, args.alphabet, args.depth + 2)
     order1, order2 = _orders_for(sample, entries, source_pi, args.orders)
     report = classify(sample, order1, order2, args.depth)

@@ -83,10 +83,6 @@ class Diet:
         return f"Diet({list(self._composition)}, {self._perm!r})"
 
 
-def make_diet(composition: Sequence[int], permutation: Permutation) -> Diet:
-    return Diet(composition, permutation)
-
-
 def diet_action(diet: Diet) -> Permutation:
     """The action on {1..n} as a permutation (0-based internally)."""
     return Permutation(diet.apply(k) - 1 for k in range(1, diet.n + 1))

@@ -286,11 +286,10 @@ def primitive_root(w: str) -> tuple[str, int]:
     """Shortest u and maximal p with w == u ** p."""
     if not w:
         raise ValueError("the empty word has no primitive root")
-    n = len(w)
-    for k in range(1, n + 1):
-        if n % k == 0 and w[:k] * (n // k) == w:
-            return w[:k], n // k
-    raise AssertionError("unreachable: every word is a power of itself")
+    # The first nontrivial occurrence of w in ww is its least period that
+    # divides |w|.
+    k = (w + w).find(w, 1)
+    return w[:k], len(w) // k
 
 
 def is_primitive(w: str) -> bool:
@@ -298,15 +297,57 @@ def is_primitive(w: str) -> bool:
 
 
 def lyndon_representative(w: str, alphabet: OrderedAlphabet) -> str:
-    """The unique Lyndon conjugate of a primitive word w."""
-    alphabet.require(w)
+    """The unique Lyndon conjugate of a primitive word w, in O(|w|) time.
+
+    Two candidate starts i < j race letter by letter: at the first mismatch
+    after k equal letters, the loser and the k starts after it cannot be
+    least, so each comparison advances a start or k.
+    """
+    s = alphabet.key(w + w)
     if not is_primitive(w):
         raise ValueError(f"{w!r} is not primitive, so it has no Lyndon conjugate")
-    return min(conjugates(w), key=alphabet.key)
+    n = len(w)
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        elif i > j:
+            i, j = j, i
+        k = 0
+    return w[i:] + w[:i]
 
 
 def is_lyndon(w: str, alphabet: OrderedAlphabet) -> bool:
-    return bool(w) and is_primitive(w) and w == min(conjugates(w), key=alphabet.key)
+    """Whether w is strictly less than all its other rotations, in O(|w|) time.
+
+    Duval's scan keeps the period ``j - i`` of the prefix read so far, a
+    prefix of a power of a Lyndon word: a letter bigger than the one a
+    period back makes the whole prefix Lyndon, an equal one keeps the
+    period, and a smaller one ends the first Lyndon factor before the end
+    of w.  So w is Lyndon exactly when its final period is |w|.  Symbols
+    outside the alphabet raise ValueError.
+    """
+    if not w:
+        return False
+    s = alphabet.key(w)
+    i = 0
+    for j in range(1, len(s)):
+        a, b = s[i], s[j]
+        if a < b:
+            i = 0
+        elif a == b:
+            i += 1
+        else:
+            return False
+    return i == 0
 
 
 def parikh(w: str, alphabet: OrderedAlphabet) -> dict[str, int]:

@@ -13,6 +13,7 @@ import time
 import pytest
 
 from ietkit import (
+    Diet,
     Interval,
     Iet,
     OrderedAlphabet,
@@ -35,7 +36,6 @@ from ietkit import (
     is_tree,
     make_alpha,
     make_alpha_tilde,
-    make_diet,
     multiset_clustering_report,
     multiset_parikh,
     orbit_words,
@@ -82,7 +82,7 @@ def test_c02_ebwt_and_inverse():
 
 
 def test_c03_discrete_exchange():
-    diet = make_diet([4, 2, 1], Permutation.symmetric(3))
+    diet = Diet([4, 2, 1], Permutation.symmetric(3))
     assert diet_action(diet).cycle_string() == "(1,4,7)(2,5)(3,6)"
     assert orbit_words(diet, ABC) == ("aac", "ab", "ab")
     assert diet_cylinder(diet, "a", ABC) == {1, 2, 3, 4}
@@ -190,7 +190,7 @@ def _random_clustering_words(rng, count):
         if sum(parts) > 12:
             continue
         pi = Permutation(rng.sample(range(d), d))
-        diet = make_diet(parts, pi)
+        diet = Diet(parts, pi)
         alphabet = OrderedAlphabet("abcd"[:d])
         for w in orbit_words(diet, alphabet):
             if len(w) < 2:

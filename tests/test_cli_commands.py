@@ -48,3 +48,55 @@ def test_classify_rejects_a_negative_depth(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: classification depth must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize("depth", ["-5", "-3"])
+def test_classify_names_its_depth_whatever_the_negative_value(capsys, depth):
+    code = main(["classify", "--source", "periodic:abcab", "--depth", depth])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: classification depth must be nonnegative, got {depth}\n"
+
+
+@pytest.mark.parametrize("depth", ["-1", "0"])
+def test_extgraph_rejects_a_depth_below_one(capsys, depth):
+    code = main(["extgraph", "--source", "periodic:abcab", "--word", "ab", "--depth", depth])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --depth must be at least 1, got {depth}\n"
+
+
+def test_iet_check_prints_nothing_before_refusing_its_depth(capsys, golden_file):
+    code = main(["iet", "check", golden_file, "--depth", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --depth must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize("composition", ["2,x", "4,2.5,1", "a"])
+def test_diet_names_a_bad_composition(capsys, composition):
+    code = main(["diet", "--composition", composition, "--pi", "ba"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --composition must be comma-separated integers, got {composition!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["iet", "rauzy", "{file}", "--steps", "rx"], "steps must be a word over 'r'/'l' or 'auto', got 'rx'"),
+        (["iet", "rauzy", "{file}", "--steps", "auto"], "--steps auto needs --word"),
+        (["iet", "rauzy", "{file}", "--steps", "auto", "--word", "zz"], "symbol 'z' is not in alphabet abc"),
+        (["diet", "--composition", "2,1", "--pi", "ba", "--cylinder", "x"], "symbol 'x' is not in alphabet ab"),
+    ],
+)
+def test_refused_input_prints_only_its_error_line(capsys, golden_file, argv, message):
+    code = main([golden_file if a == "{file}" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -11,7 +11,6 @@ from ietkit import (
     diet_action,
     diet_cylinder,
     diet_from_multiset,
-    make_diet,
     multiset_clustering_report,
     orbit_words,
 )
@@ -26,17 +25,17 @@ class TestConstruction:
         assert seven_diet.shifts == (3, -3, -6)
 
     def test_two_cycle(self):
-        diet = make_diet([1, 1], Permutation.symmetric(2))
+        diet = Diet([1, 1], Permutation.symmetric(2))
         assert diet.shifts == (1, -1)
 
     def test_identity_is_constructible(self):
-        diet = make_diet([2, 3], Permutation.identity(2))
+        diet = Diet([2, 3], Permutation.identity(2))
         assert diet.shifts == (0, 0)
         assert diet_action(diet).is_identity
 
     def test_rejects_non_positive_parts(self):
         with pytest.raises(ValueError):
-            make_diet([2, 0], Permutation.identity(2))
+            Diet([2, 0], Permutation.identity(2))
 
 
 class TestAction:
@@ -44,7 +43,7 @@ class TestAction:
         assert diet_action(seven_diet).cycle_string() == "(1,4,7)(2,5)(3,6)"
 
     def test_swap(self):
-        diet = make_diet([1, 1], Permutation.symmetric(2))
+        diet = Diet([1, 1], Permutation.symmetric(2))
         assert diet_action(diet).cycle_string() == "(1,2)"
 
     def test_always_bijection_random(self):
@@ -53,7 +52,7 @@ class TestAction:
             d = rng.randint(1, 4)
             parts = [rng.randint(1, 4) for _ in range(d)]
             pi = Permutation(rng.sample(range(d), d))
-            mu = diet_action(make_diet(parts, pi))  # constructor validates bijection
+            mu = diet_action(Diet(parts, pi))  # constructor validates bijection
             assert sum(len(c) for c in mu.cycles()) == sum(parts)
 
 
@@ -62,11 +61,11 @@ class TestOrbitWords:
         assert orbit_words(seven_diet, abc) == ("aac", "ab", "ab")
 
     def test_single_swap(self):
-        diet = make_diet([1, 1], Permutation.symmetric(2))
+        diet = Diet([1, 1], Permutation.symmetric(2))
         assert orbit_words(diet, AB) == ("ab",)
 
     def test_three_cycle(self):
-        diet = make_diet([2, 1], Permutation.symmetric(2))
+        diet = Diet([2, 1], Permutation.symmetric(2))
         assert orbit_words(diet, AB) == ("aab",)
 
     def test_parikh_matches_composition(self):
@@ -76,7 +75,7 @@ class TestOrbitWords:
             parts = [rng.randint(1, 4) for _ in range(d)]
             pi = Permutation(rng.sample(range(d), d))
             alphabet = OrderedAlphabet("abcd"[:d])
-            words = orbit_words(make_diet(parts, pi), alphabet)
+            words = orbit_words(Diet(parts, pi), alphabet)
             counts = dict.fromkeys(alphabet.letters, 0)
             for w in words:
                 for c in w:
@@ -116,7 +115,7 @@ class TestMultisetCorrespondence:
             parts = [rng.randint(1, 4) for _ in range(d)]
             pi = Permutation(rng.sample(range(d), d))
             alphabet = OrderedAlphabet("abcd"[:d])
-            words = orbit_words(make_diet(parts, pi), alphabet)
+            words = orbit_words(Diet(parts, pi), alphabet)
             report = multiset_clustering_report(words, alphabet)
             if not report.is_clustering or report.permutation != pi:
                 # Orbit multisets are clustering for the permutation that
@@ -134,7 +133,7 @@ class TestMultisetCorrespondence:
             parts = [rng.randint(1, 3) for _ in range(d)]
             pi = Permutation(rng.sample(range(d), d))
             alphabet = OrderedAlphabet("abcd"[:d])
-            words = orbit_words(make_diet(parts, pi), alphabet)
+            words = orbit_words(Diet(parts, pi), alphabet)
             if not multiset_clustering_report(words, alphabet).is_clustering:
                 continue
             for w in words:
