@@ -23,6 +23,7 @@ from .extgraph import (
     ClassifyReport,
     ExtensionGraph,
     LanguageSample,
+    SampleTooLargeError,
     classify,
     extension_graph,
     is_compatible,
@@ -94,6 +95,7 @@ __all__ = [
     "OrderedAlphabet",
     "Permutation",
     "QuadNum",
+    "SampleTooLargeError",
     "StepRecord",
     "ZeroConnectionError",
     "as_iet",

@@ -18,7 +18,6 @@ a transform of n letters takes O(n log^2 n) time and O(n) memory.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from collections.abc import Iterable
 
@@ -121,29 +120,24 @@ def inverse_ebwt(s: str, alphabet: OrderedAlphabet) -> tuple[str, ...]:
     if not s:
         raise ValueError("cannot invert the empty string")
     alphabet.require(s)
-    n = len(s)
-    order = sorted(range(n), key=lambda i: (alphabet.rank(s[i]), i))
-    first_column = [s[i] for i in order]
     occurrences: dict[str, list[int]] = {}
     for i, c in enumerate(s):
         occurrences.setdefault(c, []).append(i)
-    counters: Counter[str] = Counter()
-    sigma = [0] * n
-    for pos in range(n):
-        c = first_column[pos]
-        sigma[pos] = occurrences[c][counters[c]]
-        counters[c] += 1
-    seen = [False] * n
+    # The stable sort by letter is the ascending occurrence lists read in
+    # alphabet order.  Its i-th position holds the i-th occurrence of its
+    # letter, so the sorted positions are the standard permutation itself.
+    sigma = [i for c in alphabet.letters for i in occurrences.get(c, ())]
+    seen = [False] * len(s)
     words = []
-    for start in range(n):
+    for start in range(len(s)):
         if seen[start]:
             continue
         letters = []
         i = start
         while not seen[i]:
             seen[i] = True
-            letters.append(first_column[i])
             i = sigma[i]
+            letters.append(s[i])
         words.append(lyndon_representative("".join(letters), alphabet))
     return tuple(sorted(words, key=alphabet.key))
 

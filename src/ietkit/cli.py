@@ -34,6 +34,7 @@ from .bwt import ClusteringReport, clustering_report, inverse_ebwt, multiset_clu
 from .diet import Diet, diet_action, diet_cylinder, orbit_words
 from .extgraph import (
     LanguageSample,
+    SampleTooLargeError,
     classify,
     extension_graph,
     is_compatible,
@@ -446,16 +447,19 @@ def _parse_source(text: str, alphabet_text: str | None, max_len: int):
     if ":" not in text:
         raise ValueError(f"bad source {text!r}, expected periodic:..., multiset:... or iet:...")
     kind, _, body = text.partition(":")
-    if kind == "periodic":
-        alphabet = OrderedAlphabet(alphabet_text) if alphabet_text else OrderedAlphabet(sorted(set(body)))
-        return sample_from_periodic(body, alphabet, max_len), [body], None
-    if kind == "multiset":
-        entries = [w for w in body.split(",") if w]
-        if not entries:
-            raise ValueError("empty multiset source")
-        letters = sorted(set("".join(entries)))
-        alphabet = OrderedAlphabet(alphabet_text) if alphabet_text else OrderedAlphabet(letters)
-        return sample_from_multiset(entries, alphabet, max_len), entries, None
+    try:
+        if kind == "periodic":
+            alphabet = OrderedAlphabet(alphabet_text) if alphabet_text else OrderedAlphabet(sorted(set(body)))
+            return sample_from_periodic(body, alphabet, max_len), [body], None
+        if kind == "multiset":
+            entries = [w for w in body.split(",") if w]
+            if not entries:
+                raise ValueError("empty multiset source")
+            letters = sorted(set("".join(entries)))
+            alphabet = OrderedAlphabet(alphabet_text) if alphabet_text else OrderedAlphabet(letters)
+            return sample_from_multiset(entries, alphabet, max_len), entries, None
+    except SampleTooLargeError as exc:
+        raise ValueError(f"--depth is too large for this source: {exc}") from None
     if kind == "iet":
         iet = parse_iet_file(body)
         return sample_from_iet(iet, max_len, label=text), None, iet.permutation

@@ -12,7 +12,18 @@ Languages are handled as finite samples: all factors up to a declared bound,
 from a periodic word, a multiset of words (union of the periodic languages),
 or an interval exchange.  Every verdict is a bounded-depth verdict and the
 reports say so; for a periodic word of period p, depth p + 2 already decides
-the classification because factors recur with period p.
+the classification because factors recur with period p.  Word sources refuse
+a depth whose factors would exceed ``MAX_SAMPLE_LETTERS`` letters.
+
+``classify`` makes one pass per length k.  It reads the words of length
+k + 1 once to find, for each word v of length k, its left letter and its
+right letter when there is only one of each.  A word with a single left
+letter a, a single right letter b, avb in the sample, a in the first order
+and b in the second has a one-edge extension graph: a tree, so a forest, and
+compatible, since one edge cannot cross itself and both its ends are ranked.
+Such a word fails no flag and raises nothing, so only the remaining
+(special) words get an extension graph, and the verdicts, witnesses and
+errors are those of checking every word.
 """
 
 from __future__ import annotations
@@ -45,6 +56,27 @@ class LanguageSample:
         return out
 
 
+# A word source with periods w_1..w_m spells at most
+# (|w_1| + ... + |w_m|) * max_len * (max_len + 1) / 2 letters of factors:
+# |w_i| factors of each length up to max_len.  Past this many letters the
+# sample is refused before it is built.
+MAX_SAMPLE_LETTERS = 20_000_000
+
+
+class SampleTooLargeError(ValueError):
+    """A word-source sample whose factors would spell too many letters."""
+
+
+def _require_bounded(entries: Sequence[str], max_len: int) -> None:
+    period = sum(map(len, entries))
+    letters = period * max_len * (max_len + 1) // 2
+    if letters > MAX_SAMPLE_LETTERS:
+        raise SampleTooLargeError(
+            f"a sample of depth {max_len} over {period} period letters would spell "
+            f"{letters} letters, more than {MAX_SAMPLE_LETTERS}"
+        )
+
+
 def _periodic_factors(w: str, max_len: int) -> set[str]:
     reps = w * (max_len // len(w) + 2)
     out = {""}
@@ -61,6 +93,7 @@ def sample_from_periodic(w: str, alphabet: OrderedAlphabet, max_len: int) -> Lan
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     alphabet.require(w)
+    _require_bounded((w,), max_len)
     return LanguageSample(
         words=frozenset(_periodic_factors(w, max_len)),
         max_len=max_len,
@@ -76,9 +109,11 @@ def sample_from_multiset(
     entries = tuple(entries)
     if not entries:
         raise ValueError("a multiset language needs at least one word")
-    words: set[str] = set()
     for w in entries:
         alphabet.require(w)
+    _require_bounded(entries, max_len)
+    words: set[str] = set()
+    for w in entries:
         words |= _periodic_factors(w, max_len)
     return LanguageSample(
         words=frozenset(words),
@@ -122,7 +157,9 @@ def extension_graph(sample: LanguageSample, v: str) -> ExtensionGraph:
     return ExtensionGraph(word=v, left=left, right=right, edges=edges)
 
 
-def _components(graph: ExtensionGraph) -> int:
+def _forest_and_tree(graph: ExtensionGraph) -> tuple[bool, bool]:
+    """(forest, tree) from one union-find pass: acyclic when edges ==
+    vertices - components, a tree when also connected."""
     nodes = [("L", a) for a in graph.left] + [("R", b) for b in graph.right]
     parent = {node: node for node in nodes}
 
@@ -136,28 +173,25 @@ def _components(graph: ExtensionGraph) -> int:
         ra, rb = find(("L", a)), find(("R", b))
         if ra != rb:
             parent[ra] = rb
-    return len({find(node) for node in nodes})
+    components = len({find(node) for node in nodes})
+    forest = len(graph.edges) == len(nodes) - components
+    return forest, forest and components == 1
 
 
 def is_forest(graph: ExtensionGraph) -> bool:
     """Acyclic: edges == vertices - components."""
-    vertices = len(graph.left) + len(graph.right)
-    return len(graph.edges) == vertices - _components(graph)
+    return _forest_and_tree(graph)[0]
 
 
 def is_tree(graph: ExtensionGraph) -> bool:
-    return is_forest(graph) and _components(graph) == 1
+    return _forest_and_tree(graph)[1]
 
 
-def is_compatible(graph: ExtensionGraph, order1: Sequence[str], order2: Sequence[str]) -> bool:
-    """No crossing edges: a <_1 c implies b <=_2 d for all edges (a,b), (c,d).
+def _ranks(order: Sequence[str]) -> dict[str, int]:
+    return {c: i for i, c in enumerate(order)}
 
-    Equivalent check: group edges by left vertex, walk the groups in <_1
-    order and require each group's smallest right rank to dominate the
-    running maximum of the previous groups.
-    """
-    rank1 = {c: i for i, c in enumerate(order1)}
-    rank2 = {c: i for i, c in enumerate(order2)}
+
+def _compatible(graph: ExtensionGraph, rank1: dict[str, int], rank2: dict[str, int]) -> bool:
     for a in graph.left:
         if a not in rank1:
             raise ValueError(f"left vertex {a!r} missing from the first order")
@@ -180,6 +214,16 @@ def is_compatible(graph: ExtensionGraph, order1: Sequence[str], order2: Sequence
             return False
         running_max = hi if running_max is None else max(running_max, hi)
     return True
+
+
+def is_compatible(graph: ExtensionGraph, order1: Sequence[str], order2: Sequence[str]) -> bool:
+    """No crossing edges: a <_1 c implies b <=_2 d for all edges (a,b), (c,d).
+
+    Equivalent check: group edges by left vertex, walk the groups in <_1
+    order and require each group's smallest right rank to dominate the
+    running maximum of the previous groups.
+    """
+    return _compatible(graph, _ranks(order1), _ranks(order2))
 
 
 def order_from_permutation(pi: Permutation, alphabet: OrderedAlphabet) -> tuple[str, ...]:
@@ -208,7 +252,16 @@ def classify(
     order2: Sequence[str],
     up_to: int,
 ) -> ClassifyReport:
-    """Check every word of length <= up_to; all verdicts are depth-bounded."""
+    """Check every word of length <= up_to; all verdicts are depth-bounded.
+
+    One pass per length k (see the module docstring): the words of length
+    k + 1 give each word of length k its single left and right letter, the
+    words whose extension graph is then one ranked edge pass every check,
+    and the rest get an extension graph each, in alphabet order.  Witnesses
+    are the first failing words in (length, alphabet) order, and a foreign
+    symbol or an order that lacks a vertex raises as checking every word in
+    that order would.
+    """
     if up_to < 0:
         raise ValueError(f"classification depth must be nonnegative, got {up_to}")
     if up_to + 2 > sample.max_len:
@@ -216,30 +269,44 @@ def classify(
             f"classification up to length {up_to} needs sample depth {up_to + 2}, "
             f"have {sample.max_len}"
         )
-    dendric = alsinic = ordered_dendric = ordered_alsinic = True
+    words = sample.words
+    alphabet = sample.alphabet
+    letters = set(alphabet.letters)
+    by_length: list[list[str]] = [[] for _ in range(up_to + 2)]
+    for w in words:
+        if len(w) <= up_to + 1:
+            by_length[len(w)].append(w)
+    if not all(letters.issuperset("".join(bucket)) for bucket in by_length[: up_to + 1]):
+        for w in words:  # name the symbol that sorting the words by key meets first
+            if len(w) <= up_to:
+                alphabet.key(w)
+    rank1, rank2 = _ranks(order1), _ranks(order2)
+    flags = dict.fromkeys(("dendric", "alsinic", "ordered_dendric", "ordered_alsinic"), True)
     witnesses: dict[str, str] = {}
-    for v in sample.up_to(up_to):
-        graph = extension_graph(sample, v)
-        tree = is_tree(graph)
-        forest = is_forest(graph)
-        compatible = is_compatible(graph, order1, order2)
-        if dendric and not tree:
-            dendric = False
-            witnesses.setdefault("dendric", v)
-        if alsinic and not forest:
-            alsinic = False
-            witnesses.setdefault("alsinic", v)
-        if ordered_dendric and not (tree and compatible):
-            ordered_dendric = False
-            witnesses.setdefault("ordered_dendric", v)
-        if ordered_alsinic and not (forest and compatible):
-            ordered_alsinic = False
-            witnesses.setdefault("ordered_alsinic", v)
-    return ClassifyReport(
-        dendric=dendric,
-        alsinic=alsinic,
-        ordered_dendric=ordered_dendric,
-        ordered_alsinic=ordered_alsinic,
-        checked_up_to=up_to,
-        witnesses=witnesses,
-    )
+    for k in range(up_to + 1):
+        # The left (right) letter of each word of length k, or "" when it has several.
+        left: dict[str, str] = {}
+        right: dict[str, str] = {}
+        for u in by_length[k + 1]:
+            a, b = u[0], u[-1]
+            if a in letters:
+                v = u[1:]
+                left[v] = "" if v in left else a
+            if b in letters:
+                v = u[:-1]
+                right[v] = "" if v in right else b
+        special = []
+        for v in by_length[k]:
+            a, b = left.get(v), right.get(v)
+            if not (a and b and a in rank1 and b in rank2 and a + v + b in words):
+                special.append(v)
+        for v in sorted(special, key=alphabet.key):
+            graph = extension_graph(sample, v)
+            forest, tree = _forest_and_tree(graph)
+            compatible = _compatible(graph, rank1, rank2)
+            verdicts = (tree, forest, tree and compatible, forest and compatible)
+            for flag, ok in zip(flags, verdicts):
+                if flags[flag] and not ok:
+                    flags[flag] = False
+                    witnesses[flag] = v
+    return ClassifyReport(**flags, checked_up_to=up_to, witnesses=witnesses)

@@ -1,0 +1,298 @@
+"""The per-length ``classify`` against the direct check of every word, kept
+here as the oracle, and the number of extension graphs it builds."""
+
+import functools
+import importlib
+import itertools
+import pathlib
+import random
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from ietkit import (  # noqa: E402
+    LanguageSample,
+    OrderedAlphabet,
+    classify,
+    extension_graph,
+    order_from_permutation,
+    sample_from_iet,
+    sample_from_multiset,
+    sample_from_periodic,
+)
+from ietkit.cli import parse_iet_file  # noqa: E402
+
+extgraph_module = importlib.import_module("ietkit.extgraph")
+DATA = pathlib.Path(__file__).parent / "data"
+AB = OrderedAlphabet("ab")
+
+# -- the oracle: every word of length <= up_to in (length, alphabet) order --------
+
+
+def oracle_classify(sample, order1, order2, up_to):
+    if up_to < 0:
+        raise ValueError(f"classification depth must be nonnegative, got {up_to}")
+    if up_to + 2 > sample.max_len:
+        raise ValueError(
+            f"classification up to length {up_to} needs sample depth {up_to + 2}, "
+            f"have {sample.max_len}"
+        )
+    words = sample.words
+    checked = sorted((w for w in words if len(w) <= up_to), key=lambda w: (len(w), sample.alphabet.key(w)))
+    flags = {"dendric": True, "alsinic": True, "ordered_dendric": True, "ordered_alsinic": True}
+    witnesses = {}
+    for v in checked:
+        left = [a for a in sample.alphabet.letters if a + v in words]
+        right = [b for b in sample.alphabet.letters if v + b in words]
+        edges = [(a, b) for a in left for b in right if a + v + b in words]
+        for a in left:
+            if a not in order1:
+                raise ValueError(f"left vertex {a!r} missing from the first order")
+        for b in right:
+            if b not in order2:
+                raise ValueError(f"right vertex {b!r} missing from the second order")
+        components = count_components(left, right, edges)
+        forest = len(edges) == len(left) + len(right) - components
+        tree = forest and components == 1
+        compatible = all(
+            list(order2).index(b) <= list(order2).index(d)
+            for a, b in edges
+            for c, d in edges
+            if list(order1).index(a) < list(order1).index(c)
+        )
+        for flag, ok in zip(flags, (tree, forest, tree and compatible, forest and compatible)):
+            if flags[flag] and not ok:
+                flags[flag] = False
+                witnesses[flag] = v
+    return flags, witnesses
+
+
+def count_components(left, right, edges):
+    """Connected components of the bipartite graph, by depth-first search."""
+    neighbours = {("L", a): [] for a in left} | {("R", b): [] for b in right}
+    for a, b in edges:
+        neighbours[("L", a)].append(("R", b))
+        neighbours[("R", b)].append(("L", a))
+    seen = set()
+    components = 0
+    for start in neighbours:
+        if start in seen:
+            continue
+        components += 1
+        stack = [start]
+        seen.add(start)
+        while stack:
+            for nxt in neighbours[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+    return components
+
+
+def outcome(fn, *args):
+    """A report as (flags, witnesses in insertion order), or the error text."""
+    try:
+        result = fn(*args)
+    except ValueError as exc:
+        return "ValueError: " + str(exc)
+    if isinstance(result, tuple):
+        flags, witnesses = result
+    else:
+        flags = {f: getattr(result, f) for f in ("dendric", "alsinic", "ordered_dendric", "ordered_alsinic")}
+        witnesses = result.witnesses
+        assert result.checked_up_to == args[3]
+    return flags, list(witnesses.items())
+
+
+def assert_same(sample, order1, order2, up_to):
+    assert outcome(classify, sample, order1, order2, up_to) == outcome(
+        oracle_classify, sample, order1, order2, up_to
+    )
+
+
+# -- strategies -----------------------------------------------------------------------
+
+# Alphabets in code-point order and out of it.
+ORDERS = ("ab", "ba", "abc", "cab", "dbca", "abcd", "bdac")
+
+
+@st.composite
+def orders_over(draw, letters):
+    """A pair of orders of ``letters``; now and then one of them lacks a letter."""
+    pair = []
+    for _ in range(2):
+        order = list(draw(st.permutations(letters)))
+        if len(order) > 1 and draw(st.integers(0, 4)) == 0:
+            del order[draw(st.integers(0, len(order) - 1))]
+        pair.append(tuple(order))
+    return tuple(pair)
+
+
+@st.composite
+def word_sources(draw):
+    """A periodic or multiset sample over 2-4 letters, a depth and orders."""
+    alphabet = OrderedAlphabet(draw(st.sampled_from(ORDERS)))
+    used = draw(st.lists(st.sampled_from(alphabet.letters), min_size=1, max_size=4, unique=True))
+    entries = draw(st.lists(st.text(alphabet=used, min_size=1, max_size=10), min_size=1, max_size=3))
+    up_to = draw(st.integers(0, max(map(len, entries)) + 2))
+    if len(entries) == 1:
+        sample = sample_from_periodic(entries[0], alphabet, up_to + 2)
+    else:
+        sample = sample_from_multiset(entries, alphabet, up_to + 2)
+    return sample, *draw(orders_over(alphabet.letters)), up_to
+
+
+@st.composite
+def hand_built(draw):
+    """Samples that need not be factor-closed, so one left and one right
+    letter need not give an edge; some words, and then the orders, use a
+    symbol outside the alphabet."""
+    alphabet = OrderedAlphabet(draw(st.sampled_from(ORDERS)))
+    symbols = list(alphabet.letters) + (["x"] if draw(st.integers(0, 3)) == 0 else [])
+    words = draw(st.frozensets(st.text(alphabet=symbols, max_size=5), max_size=40))
+    max_len = draw(st.integers(2, 6))
+    up_to = draw(st.integers(0, max_len - 2))
+    sample = LanguageSample(words=words, max_len=max_len, alphabet=alphabet, source="hand-built")
+    return sample, *draw(orders_over(symbols)), up_to
+
+
+@functools.cache
+def iet_sample(name):
+    return sample_from_iet(parse_iet_file(str(DATA / name)), 7, label=name)
+
+
+# -- equal reports, witnesses and errors ----------------------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(word_sources())
+def test_word_sources_match_the_oracle(case):
+    assert_same(*case)
+
+
+@settings(max_examples=400, deadline=None)
+@given(hand_built())
+def test_hand_built_samples_match_the_oracle(case):
+    assert_same(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(("golden.iet", "sqrt2_4.iet")), st.data())
+def test_iet_samples_match_the_oracle(name, data):
+    sample = iet_sample(name)
+    order1, order2 = data.draw(orders_over(sample.alphabet.letters))
+    assert_same(sample, order1, order2, data.draw(st.integers(0, 5)))
+
+
+@pytest.mark.parametrize("name", ["golden.iet", "sqrt2_4.iet"])
+def test_iet_samples_under_the_permutation_order(name):
+    iet = parse_iet_file(str(DATA / name))
+    sample = iet_sample(name)
+    pi_order = order_from_permutation(iet.permutation, iet.alphabet)
+    for order1 in (pi_order, iet.alphabet.letters):
+        assert classify(sample, order1, iet.alphabet.letters, 5).ordered_dendric == (order1 == pi_order)
+        assert_same(sample, order1, iet.alphabet.letters, 5)
+
+
+def test_one_left_and_one_right_letter_need_not_be_an_edge():
+    sample = LanguageSample(
+        words=frozenset({"", "a", "b", "c", "ab", "bc"}), max_len=3, alphabet=OrderedAlphabet("abc"), source="hand"
+    )
+    graph = extension_graph(sample, "b")
+    assert (graph.left, graph.right, graph.edges) == (("a",), ("c",), frozenset())
+    report = classify(sample, "abc", "abc", 1)
+    assert not report.dendric and report.alsinic
+    assert_same(sample, "abc", "abc", 1)
+
+
+@pytest.mark.parametrize("order", ["".join(p) for p in itertools.permutations("abcd")])
+def test_the_witness_is_the_least_failing_word_of_its_length(order):
+    # The graph of the empty word is a star, a tree; every letter then has
+    # extensions on both sides but no edge, so each one fails "dendric".
+    words = {"", "a", "b", "c", "d", "aa", "ab", "ac", "ad", "ba", "ca", "da"}
+    sample = LanguageSample(words=frozenset(words), max_len=3, alphabet=OrderedAlphabet(order), source="star")
+    report = classify(sample, order, order, 1)
+    assert report.witnesses["dendric"] == order[0]
+    assert_same(sample, order, order, 1)
+
+
+def test_foreign_symbols_in_the_orders_are_no_extensions():
+    # x is the only symbol left of "b" and y the only one right of it, and
+    # both are ranked, but neither is a letter: the graph of "b" is empty,
+    # so not a tree, although "xby" is in the sample.
+    sample = LanguageSample(
+        words=frozenset({"a", "b", "aa", "aaa", "xb", "by", "xby"}), max_len=3, alphabet=AB, source="hand"
+    )
+    graph = extension_graph(sample, "b")
+    assert (graph.left, graph.right, graph.edges) == ((), (), frozenset())
+    report = classify(sample, "xab", "aby", 1)
+    assert not report.dendric and report.witnesses == {"dendric": "b", "ordered_dendric": "b"}
+    assert_same(sample, "xab", "aby", 1)
+
+
+def test_a_foreign_symbol_raises_the_sorting_error():
+    alphabet = OrderedAlphabet("ab")
+    sample = LanguageSample(
+        words=frozenset({"", "a", "b", "ab", "ba", "xa"}), max_len=4, alphabet=alphabet, source="hand"
+    )
+    with pytest.raises(ValueError, match=r"^symbol 'x' is not in alphabet ab$"):
+        classify(sample, "ab", "ab", 2)
+    # Words of length up_to + 1 are only looked up, never checked.
+    assert_same(sample, "ab", "ab", 1)
+    assert_same(sample, "ab", "ab", 2)
+
+
+def test_a_missing_vertex_is_named_as_by_the_direct_check():
+    sample = sample_from_periodic("aabcb", OrderedAlphabet("abc"), 7)
+    with pytest.raises(ValueError, match="left vertex 'c' missing from the first order"):
+        classify(sample, "ab", "abc", 5)
+    assert_same(sample, "ab", "abc", 5)
+    assert_same(sample, "abc", "ac", 5)
+
+
+# -- extension graphs for the special words only --------------------------------------
+
+
+def count_extension_graphs(monkeypatch):
+    calls = []
+    original = extgraph_module.extension_graph
+
+    def counted(sample, v):
+        calls.append(v)
+        return original(sample, v)
+
+    monkeypatch.setattr(extgraph_module, "extension_graph", counted)
+    return calls
+
+
+def test_a_long_periodic_word_builds_few_extension_graphs(monkeypatch):
+    rng = random.Random(120)
+    w = "".join(rng.choice("abcd") for _ in range(120))
+    alphabet = OrderedAlphabet("abcd")
+    sample = sample_from_periodic(w, alphabet, 122)
+    calls = count_extension_graphs(monkeypatch)
+    classify(sample, "dcba", alphabet.letters, 120)
+    assert sum(len(v) <= 120 for v in sample.words) > 14_000
+    assert 1 <= len(calls) < 1000
+    assert len(set(calls)) == len(calls)
+    monkeypatch.undo()
+    assert_same(sample, "dcba", alphabet.letters, 120)
+
+
+@settings(max_examples=100, deadline=None)
+@given(word_sources())
+def test_two_letters_give_at_least_one_extension_graph(case):
+    sample, order1, order2, up_to = case
+    letters = {w for w in sample.words if len(w) == 1}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = count_extension_graphs(monkeypatch)
+        try:
+            classify(sample, order1, order2, up_to)
+        except ValueError:
+            pass
+    # The empty word has two left letters as soon as there are two letters.
+    if len(letters) >= 2:
+        assert "" in calls

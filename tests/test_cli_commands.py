@@ -100,3 +100,21 @@ def test_refused_input_prints_only_its_error_line(capsys, golden_file, argv, mes
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, spelled",
+    [
+        (["classify", "--source", "periodic:abc", "--depth", "100000", "--orders", "A:A"], "depth 100002 over 3"),
+        (["classify", "--source", "multiset:abc,ab", "--depth", "5000"], "depth 5002 over 5"),
+        (["extgraph", "--source", "periodic:abc", "--word", "ab", "--depth", "100000"], "depth 100000 over 3"),
+        (["extgraph", "--source", "multiset:abc,ab", "--word", "ε", "--depth", "5000"], "depth 5000 over 5"),
+    ],
+)
+def test_a_word_source_too_deep_to_sample_names_depth(capsys, argv, spelled):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --depth is too large for this source: a sample of {spelled} period letters")
+    assert captured.err.count("\n") == 1

@@ -5,6 +5,7 @@ import pytest
 from ietkit import (
     OrderedAlphabet,
     Permutation,
+    SampleTooLargeError,
     classify,
     clustering_report,
     extension_graph,
@@ -204,3 +205,20 @@ class TestClassify:
                 report = classify(sample, left, AB.letters, 5)
                 if report.ordered_alsinic:
                     assert report.alsinic
+
+
+class TestSampleBound:
+    # Sum of period lengths * max_len * (max_len + 1) / 2 letters at most.
+    def test_periodic_refused_before_building(self):
+        with pytest.raises(SampleTooLargeError, match="over 3 period letters would spell 15000150000 letters"):
+            sample_from_periodic("abc", ABC, 100_000)
+
+    def test_multiset_counts_every_entry(self):
+        # 5 * 2828 * 2829 / 2 = 20_001_030 is just over the limit; "abc"
+        # alone would spell 12_000_618.
+        with pytest.raises(SampleTooLargeError, match="over 5 period letters would spell 20001030 letters"):
+            sample_from_multiset(["abc", "ab"], ABC, 2828)
+
+    def test_a_foreign_symbol_is_named_first(self):
+        with pytest.raises(ValueError, match="symbol 'x'"):
+            sample_from_multiset(["ab", "x"], AB, 10**6)

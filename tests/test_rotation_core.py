@@ -59,6 +59,34 @@ def naive_is_lyndon(w, alphabet):
     return bool(w) and naive_primitive_root(w)[1] == 1 and w == naive_lyndon_representative(w, alphabet)
 
 
+def naive_inverse_ebwt(s, alphabet):
+    """The standard permutation with its first column from sorting the
+    positions of ``s`` by (letter rank, position)."""
+    n = len(s)
+    order = sorted(range(n), key=lambda i: (alphabet.rank(s[i]), i))
+    first_column = [s[i] for i in order]
+    occurrences = {}
+    for i, c in enumerate(s):
+        occurrences.setdefault(c, []).append(i)
+    used = {}
+    sigma = []
+    for c in first_column:
+        sigma.append(occurrences[c][used.get(c, 0)])
+        used[c] = used.get(c, 0) + 1
+    seen = [False] * n
+    words = []
+    for start in range(n):
+        letters = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            letters.append(first_column[i])
+            i = sigma[i]
+        if letters:
+            words.append(naive_lyndon_representative("".join(letters), alphabet))
+    return tuple(sorted(words, key=alphabet.key))
+
+
 # -- strategies -------------------------------------------------------------------
 
 ENGLISH = "abcdefghijklmnopqrstuvwxyz"
@@ -130,6 +158,16 @@ def test_ebwt_equals_the_direct_sort(case):
 def test_inverse_ebwt_undoes_ebwt(case):
     alphabet, entries = case
     assert inverse_ebwt(ebwt(entries, alphabet), alphabet) == tuple(sorted(entries, key=alphabet.key))
+
+
+@settings(max_examples=300, deadline=None)
+@given(words())
+def test_inverse_ebwt_equals_the_sorted_first_column(case):
+    # Any word is the extended transform of some multiset, so every word is
+    # a fair input; the oracle sorts positions where inverse_ebwt reads the
+    # occurrence lists in alphabet order.
+    alphabet, s = case
+    assert inverse_ebwt(s, alphabet) == naive_inverse_ebwt(s, alphabet)
 
 
 @pytest.mark.parametrize("word", ["sphynx", "ab", "ba", "zaz", "yyyyx"])
