@@ -24,6 +24,7 @@ sorted keys, so identical inputs produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -49,6 +50,7 @@ from .iet import Iet, IncompleteScanError
 from .morphisms import Morphism
 from .rauzy import (
     InductionCapError,
+    InductionTrace,
     induce_to_cylinder,
     rauzy_left,
     rauzy_right,
@@ -246,6 +248,8 @@ def verify_return_words(
     require every return word to be clustering.  The clustering permutation
     of each return word is also compared against the instance permutation
     restricted to its support; that comparison is recorded, never judged.
+    ``cap`` bounds each word's chain of Rauzy steps (see
+    :func:`~ietkit.rauzy.induce_to_cylinder`).
 
     Refuses instances whose finite-depth connection check fails.
     """
@@ -263,10 +267,27 @@ def verify_return_words(
     )
     failures: list[Failure] = []
     records: list[WordRecord] = []
+    # Traces of the previous and the current length.  Each walk resumes from
+    # its prefix's trace, except under ``trace``: the resumed final map names
+    # its letters differently, and the printed theta is keyed by letter.
+    prev: dict[str, InductionTrace] = {}
+    cur: dict[str, InductionTrace] = {}
+    length = 0
     for w in words:
+        if len(w) != length:
+            prev, cur, length = cur, {}, len(w)
         theta_images: tuple[tuple[str, str], ...] | None = None
         try:
-            trace_result = induce_to_cylinder(iet, w, cap=cap)
+            start = None if trace else prev.get(w[:-1])
+            try:
+                trace_result = induce_to_cylinder(iet, w, cap=cap, start=start)
+            except InductionCapError:
+                if start is None:
+                    raise
+                # A resumed chain can be a few steps longer than the word's
+                # own walk from the instance; fail only if that walk fails.
+                trace_result = induce_to_cylinder(iet, w, cap=cap)
+            cur[w] = trace_result
             induced = frozenset(trace_result.theta(c) for c in trace_result.theta.source)
             if trace:
                 theta_images = tuple(
@@ -758,7 +779,8 @@ def _env_int(name: str) -> int | None:
     return int(text)
 
 
-def _build_parser(keane_depth: int = DEFAULT_KEANE_DEPTH) -> argparse.ArgumentParser:
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ietkit",
         description="Exact interval exchanges, Rauzy induction, and clustering analysis",
@@ -811,7 +833,7 @@ def _build_parser(keane_depth: int = DEFAULT_KEANE_DEPTH) -> argparse.ArgumentPa
 
     c = isub.add_parser("check", help="validate and run the connection check")
     c.add_argument("file")
-    c.add_argument("--depth", type=int, default=keane_depth)
+    c.add_argument("--depth", type=int, default=None)
     c.set_defaults(func=_cmd_iet_check)
 
     c = isub.add_parser("traj", help="orbit coding of a point")
@@ -857,7 +879,7 @@ def _build_parser(keane_depth: int = DEFAULT_KEANE_DEPTH) -> argparse.ArgumentPa
     p = sub.add_parser("verify", help="return-word clustering verification of an instance")
     p.add_argument("file")
     p.add_argument("--max-len", type=int, default=4)
-    p.add_argument("--keane-depth", type=int, default=keane_depth)
+    p.add_argument("--keane-depth", type=int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None, help="write the report to this path")
     p.add_argument("--trace", action="store_true")
@@ -873,10 +895,17 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser = _build_parser(DEFAULT_KEANE_DEPTH if keane_depth is None else keane_depth)
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     args.cap = cap
-    if getattr(args, "command", None) == "extgraph" and args.depth is None:
+    # Defaults that depend on the environment or on another argument are
+    # filled here, so the parser is built once per process.
+    if keane_depth is None:
+        keane_depth = DEFAULT_KEANE_DEPTH
+    if args.command == "verify" and args.keane_depth is None:
+        args.keane_depth = keane_depth
+    elif args.command == "iet" and args.subcommand == "check" and args.depth is None:
+        args.depth = keane_depth
+    elif args.command == "extgraph" and args.depth is None:
         args.depth = len(_word_arg(args.word)) + 2
     try:
         return args.func(args)

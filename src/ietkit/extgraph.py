@@ -47,9 +47,6 @@ class LanguageSample:
     def __contains__(self, w: object) -> bool:
         return w in self.words
 
-    def of_length(self, k: int) -> list[str]:
-        return sorted((w for w in self.words if len(w) == k), key=self.alphabet.key)
-
     def up_to(self, k: int) -> list[str]:
         out = [w for w in self.words if len(w) <= k]
         out.sort(key=lambda w: (len(w), self.alphabet.key(w)))

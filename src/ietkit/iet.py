@@ -168,8 +168,8 @@ class Iet:
         self._image_letters = self.image_order_letters()
         self._bounds = self._partition(letters)
         self._image_bounds = self._partition(self._image_letters)
-        self._img_left = dict(zip(self._image_letters, self._image_bounds))
-        self._tau = {c: self._img_left[c] - left for c, left in zip(letters, self._bounds)}
+        img_left = dict(zip(self._image_letters, self._image_bounds))
+        self._tau = {c: img_left[c] - left for c, left in zip(letters, self._bounds)}
         self._pieces = tuple(
             zip(letters, self._bounds, self._bounds[1:], (self._tau[c] for c in letters))
         )
@@ -220,10 +220,6 @@ class Iet:
         """The domain piece of ``letter``."""
         _, left, right, _ = self._row[letter]
         return Interval(left, right)
-
-    def image_interval(self, letter: str) -> Interval:
-        left = self._img_left[letter]
-        return Interval(left, left + self._lengths[letter])
 
     def translation(self, letter: str) -> QuadNum:
         self._alphabet.rank(letter)
@@ -387,6 +383,7 @@ class Iet:
             horizon = 200 * len(w) * self.d
         x = block.midpoint()
         k = len(w)
+        last = w[-1]
         found: set[str] = set()
         trail: list[str] = []
         prev_start: int | None = None
@@ -394,7 +391,7 @@ class Iet:
             c = self.letter_at(x)
             x = x + self._tau[c]
             trail.append(c)
-            if len(trail) >= k and "".join(trail[-k:]) == w:
+            if c == last and len(trail) >= k and "".join(trail[-k:]) == w:
                 start = step - k + 1
                 if prev_start is not None:
                     found.add("".join(trail[prev_start:start]))

@@ -30,6 +30,14 @@ The step sequence onto a cylinder is a walk that takes, at each state, a
 step whose cut keeps the cylinder inside the domain.  Cylinders of a regular
 transformation are admissible intervals (Dolce and Perrin, 2017), so such a
 step exists and never leads to a dead end: every step built is kept.
+
+Because ``cyl(wa)`` lies inside ``cyl(w)``, the walk onto ``cyl(wa)`` may
+resume from the final state of the walk onto ``cyl(w)``.  That state is the
+first-return map on ``cyl(w)``, and each further step is verified against
+the state it acts on exactly as before, so the chain of steps from the
+original transformation, and the morphism composed along it, stays
+certified end to end.  Should no step keep the smaller cylinder, the walk
+raises instead of answering.
 """
 
 from __future__ import annotations
@@ -195,7 +203,11 @@ def _keeps(iet: Iet, kind: str, target: Interval) -> bool:
 
 
 def induce_to_cylinder(
-    iet: Iet, w: str, cap: int | None = None, prefer_left: bool = False
+    iet: Iet,
+    w: str,
+    cap: int | None = None,
+    prefer_left: bool = False,
+    start: InductionTrace | None = None,
 ) -> InductionTrace:
     """Certified induction of ``iet`` onto the cylinder of ``w``.
 
@@ -205,16 +217,31 @@ def induce_to_cylinder(
     ``Iet.check_keane``); on a transformation with connections the walk
     fails honestly with :class:`InductionCapError` instead of producing a
     wrong answer.
+
+    With ``start``, a trace of ``iet`` whose final domain contains the
+    cylinder of ``w`` (for example the trace of a prefix of ``w``, since
+    ``cyl(wa)`` lies inside ``cyl(w)``), the walk resumes from
+    ``start.final`` instead of from ``iet``.  The returned trace still runs
+    from ``iet``: its steps, states and ``theta`` extend those of
+    ``start``, ``cap`` bounds the whole step chain, and every new step is
+    verified like any other.  The final map has the same pieces as the
+    walk from ``iet``, though its letters may be named differently.
     """
     target = iet.cylinder(w)
     if target.is_empty:
         raise ValueError(f"{w!r} is not in the language of this transformation")
     if cap is None:
         cap = 64 * (len(w) + 1)
+    if start is None:
+        start = InductionTrace((), (iet,), iet, identity(iet.alphabet))
+    elif start.states[0] != iet:
+        raise ValueError("the start trace belongs to another transformation")
+    if not start.final.domain.contains_interval(target):
+        raise ValueError(f"the start trace's domain does not contain the cylinder of {w!r}")
+    steps, states, theta = list(start.steps), list(start.states), start.theta
     order = (LEFT, RIGHT) if prefer_left else (RIGHT, LEFT)
-    steps: list[StepRecord] = []
-    states = [iet]
-    while states[-1].domain != target:
+    # A start chain already longer than ``cap`` fails even when no step is left.
+    while states[-1].domain != target or len(steps) > cap:
         if len(steps) >= cap:
             raise InductionCapError(
                 f"no step sequence onto the cylinder of {w!r} within {cap} steps"
@@ -228,9 +255,7 @@ def induce_to_cylinder(
         state, record = _step(states[-1], kind)
         steps.append(record)
         states.append(state)
-    theta = identity(states[-1].alphabet)
-    for record in reversed(steps):
-        theta = compose(step_morphism(record), theta)
+        theta = compose(theta, step_morphism(record))
     return InductionTrace(tuple(steps), tuple(states), states[-1], theta)
 
 

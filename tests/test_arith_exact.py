@@ -2,7 +2,7 @@
 
 sympy is the independent oracle: every element is rebuilt as
 ``(p + q*sqrt(d)) / r`` in sympy and the results of ``<``, ``<=``, ``==``,
-``sign()``, ``+`` and ``-`` are compared with sympy's exact answers.
+``sign()``, ``+``, ``-`` and ``*`` are compared with sympy's exact answers.
 """
 
 from math import gcd
@@ -158,6 +158,41 @@ def test_comparison_with_unrelated_type_is_not_supported():
     with pytest.raises(TypeError):
         QuadNum(1) < "1"
     assert (QuadNum(1) == "1") is False
+
+
+@st.composite
+def triples(draw):
+    """Three elements of one Q(sqrt(d)), rational ones included."""
+    d = draw(st.sampled_from(RADICANDS))
+    rational = st.builds(QuadNum, COEFF, st.just(0), DENOM)
+    return tuple(draw(st.one_of(quad(d), rational)) for _ in range(3))
+
+
+def assert_equals_sympy(x: QuadNum, expected) -> None:
+    assert_canonical(x)
+    assert sympy.expand(to_sympy(x) - expected) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(triples())
+def test_product_ring_laws_agree_with_sympy(triple):
+    a, b, c = triple
+    sa, sb, sc = (to_sympy(x) for x in triple)
+    assert_equals_sympy(a * b, sa * sb)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert_equals_sympy((a * b) * c, sa * sb * sc)
+    assert a * (b + c) == a * b + a * c
+    assert_equals_sympy(a * (b + c), sa * (sb + sc))
+    assert a * QuadNum(1) == a == QuadNum(1) * a
+    assert a * 1 == a == 1 * a
+
+
+@settings(max_examples=100, deadline=None)
+@given(quad(), st.integers(-10**6, 10**6))
+def test_product_with_integer_agrees_with_sympy(x, n):
+    assert_equals_sympy(x * n, to_sympy(x) * n)
+    assert n * x == x * n == x * QuadNum(n)
 
 
 def naive_square_free(n: int) -> bool:

@@ -1,5 +1,6 @@
 """CLI input handling: report bytes, environment variables and radicands."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -86,3 +87,22 @@ def test_huge_radicand_rejected_with_line_number(tmp_path, capsys):
         parse_iet_file(path)
     assert main(["iet", "check", path]) == 2
     assert capsys.readouterr().err.startswith("error: line 2: radicand")
+
+
+def test_environment_defaults_are_read_on_every_call(capsys, monkeypatch, golden_file, tmp_path):
+    """The parser is built once per process; the depth defaults still follow
+    IETKIT_KEANE_DEPTH at each call."""
+    for depth in ("7", "11"):
+        monkeypatch.setenv("IETKIT_KEANE_DEPTH", depth)
+        assert main(["iet", "check", golden_file]) == 0
+        assert f"no connection up to depth {depth}\n" in capsys.readouterr().out
+        out = tmp_path / f"report_{depth}.json"
+        assert main(["verify", "--format", "json", "--max-len", "2", "--output", str(out), golden_file]) == 0
+        assert json.loads(out.read_text())["keane_depth"] == int(depth)
+    monkeypatch.delenv("IETKIT_KEANE_DEPTH")
+    assert main(["iet", "check", golden_file]) == 0
+    assert "no connection up to depth 1000\n" in capsys.readouterr().out
+    # An explicit option still wins over the variable.
+    monkeypatch.setenv("IETKIT_KEANE_DEPTH", "7")
+    assert main(["iet", "check", golden_file, "--depth", "5"]) == 0
+    assert "no connection up to depth 5\n" in capsys.readouterr().out
