@@ -59,6 +59,12 @@ from .rauzy import (
 from .words import OrderedAlphabet, Permutation
 
 DEFAULT_KEANE_DEPTH = 1000
+# Up-front work budgets of the commands that follow orbits, in orbit steps
+# and in language nodes.  Each is over 100 times the largest call of the
+# orbit benchmark (`iet traj --steps 10000`, `iet check --depth 5000` on four
+# letters, `iet language --max-len 60` on four letters).
+MAX_ORBIT_STEPS = 2_000_000
+MAX_LANGUAGE_NODES = 1_000_000
 # Radicands above this are refused: checking square-freeness costs about
 # d ** (1/3) trial divisions.
 MAX_RADICAND = 10**18
@@ -171,6 +177,23 @@ def parse_iet_file(path: str) -> Iet:
         return Iet(alphabet, pi, lengths, origin)
     except ValueError as exc:
         raise IetFileError(len(lines) + 1, str(exc)) from None
+
+
+def _require_steps(what: str, steps: int) -> None:
+    """Refuse, before any work, a request of more than MAX_ORBIT_STEPS orbit steps."""
+    if steps > MAX_ORBIT_STEPS:
+        raise ValueError(f"{what} would take {steps} orbit steps, more than {MAX_ORBIT_STEPS}")
+
+
+def _require_nodes(what: str, iet: Iet, max_len: int) -> None:
+    """Refuse, before any work, a language of words up to ``max_len`` whose
+    refinement could visit more than MAX_LANGUAGE_NODES cylinders: words of
+    length k number at most (d - 1) k + 1 in any exchange.  A negative length
+    counts as 0 and is left to the language's own error."""
+    n = max(max_len, 0)
+    nodes = (iet.d - 1) * n * (n + 1) // 2 + n + 1
+    if nodes > MAX_LANGUAGE_NODES:
+        raise ValueError(f"{what} would take {nodes} language nodes, more than {MAX_LANGUAGE_NODES}")
 
 
 # -- verification -------------------------------------------------------------
@@ -483,6 +506,7 @@ def _parse_source(text: str, alphabet_text: str | None, max_len: int):
         raise ValueError(f"--depth is too large for this source: {exc}") from None
     if kind == "iet":
         iet = parse_iet_file(body)
+        _require_nodes(f"--depth is too large for this source: a sample of depth {max_len}", iet, max_len)
         return sample_from_iet(iet, max_len, label=text), None, iet.permutation
     raise ValueError(f"unknown source kind {kind!r}")
 
@@ -605,6 +629,8 @@ def _cmd_iet_check(args) -> int:
     if args.depth < 0:
         raise ValueError(f"--depth must be nonnegative, got {args.depth}")
     iet = parse_iet_file(args.file)
+    # The connection check follows d - 1 orbits for --depth steps each.
+    _require_steps(f"--depth {args.depth}", (iet.d - 1) * args.depth)
     _print_iet(iet)
     verdict = iet.check_keane(args.depth)
     if verdict.is_regular:
@@ -616,28 +642,32 @@ def _cmd_iet_check(args) -> int:
     return 0
 
 
-def _radicand_of(iet: Iet) -> int:
-    for c in iet.alphabet:
-        if iet.length(c).d:
-            return iet.length(c).d
-    return 0
-
-
 def _cmd_iet_traj(args) -> int:
+    _require_steps(f"--steps {args.steps}", args.steps)
     iet = parse_iet_file(args.file)
-    point = QuadNum.parse(args.point, _radicand_of(iet))
+    point = QuadNum.parse(args.point, iet.radicand)
     print(iet.trajectory(point, args.steps))
     return 0
 
 
+def _rank_key(alphabet: OrderedAlphabet):
+    """A sort key for words in the alphabet's order, as fast str keys: each
+    letter is replaced by the character whose code point is its rank, so
+    code-point order is the alphabet's lexicographic order."""
+    table = str.maketrans({c: chr(i) for i, c in enumerate(alphabet)})
+    return lambda w: w.translate(table)
+
+
 def _cmd_iet_language(args) -> int:
     iet = parse_iet_file(args.file)
+    _require_nodes(f"--max-len {args.max_len}", iet, args.max_len)
     words = iet.language(args.max_len)
     by_len: dict[int, list[str]] = {}
     for w in words:
         by_len.setdefault(len(w), []).append(w)
+    key = _rank_key(iet.alphabet)
     for k in sorted(by_len):
-        row = sorted(by_len[k], key=iet.alphabet.key)
+        row = sorted(by_len[k], key=key)
         label = " ".join(row) if k else "ε"
         print(f"length {k} ({len(row)}): {label}")
     return 0
@@ -747,6 +777,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_verify(args) -> int:
     iet = parse_iet_file(args.file)
+    _require_steps(f"--keane-depth {args.keane_depth}", (iet.d - 1) * args.keane_depth)
+    _require_nodes(f"--max-len {args.max_len}", iet, args.max_len)
     try:
         report = verify_return_words(
             iet,

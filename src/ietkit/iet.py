@@ -7,10 +7,17 @@ image pieces tile the same domain left to right in the order
 ``a_{pi(1)}, ..., a_{pi(d)}``.  The translation of the piece of ``a`` is
 the difference between its image offset and its domain offset.
 
-All points are :class:`~ietkit.arith.QuadNum`, so membership tests, orbit
-hits and cylinder intersections are exact.  The Keane (no-connection)
-condition is only ever certified to a finite depth; nothing in this module
-claims full regularity.
+Points, bounds and translations are :class:`~ietkit.arith.QuadNum` at the
+API.  The long loops (trajectories, connection search, return-word scans,
+language and cylinder refinement) run on one integer lattice instead: every
+bound and translation of an instance lies in ``(1/R)(Z + Z sqrt(d))`` for
+the lcm ``R`` of their denominators, and so does every orbit point of a
+point on it.  A point is then an integer pair ``(P, Q)`` that a step only
+adds to, an orbit hit is equality of pairs, and an order test is the exact
+integer sign test of ``a + b sqrt(d)``; nothing is rounded and no float is
+consulted, so the loops decide exactly what the QuadNum forms decide.  The
+Keane (no-connection) condition is only ever certified to a finite depth;
+nothing in this module claims full regularity.
 
 Languages are enumerated by cylinder refinement, never by sampling
 trajectories: on a cylinder of the words of length k the k-th iterate is a
@@ -22,10 +29,20 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
+from itertools import islice
+from math import lcm
 
-from .arith import QuadNum
+from .arith import QuadNum, _mismatch
 from .words import OrderedAlphabet, Permutation
+
+
+def _lt(a: int, b: int, d: int) -> bool:
+    """Whether ``a + b*sqrt(d) < 0``, by integer arithmetic only (``b == 0``
+    whenever ``d == 0``)."""
+    if b >= 0:
+        return a < 0 and a * a > b * b * d
+    return a < 0 or a * a < b * b * d
 
 
 class CapExceededError(RuntimeError):
@@ -161,20 +178,19 @@ class Iet:
         self._lengths = lens
         self._origin = QuadNum(origin) if isinstance(origin, int) else origin
 
-        # Piece tables: the boundaries [origin, cut_1, ..., end] of the
-        # domain and of the image partition, and one (letter, left, right,
-        # tau) row per domain piece.
+        # The boundaries [origin, cut_1, ..., end] of the domain and of the
+        # image partition, and the translation of each piece.
         letters = alphabet.letters
         self._image_letters = self.image_order_letters()
         self._bounds = self._partition(letters)
         self._image_bounds = self._partition(self._image_letters)
         img_left = dict(zip(self._image_letters, self._image_bounds))
         self._tau = {c: img_left[c] - left for c, left in zip(letters, self._bounds)}
-        self._pieces = tuple(
-            zip(letters, self._bounds, self._bounds[1:], (self._tau[c] for c in letters))
-        )
-        self._row = {row[0]: row for row in self._pieces}
         self._domain = Interval(self._origin, self._bounds[-1])
+        # Irrational numbers of one instance share a radicand (adding two
+        # that do not raises), and every length shows up in some bound.
+        self._radicand = max(b.d for b in self._bounds)
+        self._grid: tuple | None = None
 
     def _partition(self, letters: tuple[str, ...]) -> list[QuadNum]:
         bounds = [self._origin]
@@ -200,6 +216,12 @@ class Iet:
     def d(self) -> int:
         return len(self._alphabet)
 
+    @property
+    def radicand(self) -> int:
+        """The radicand shared by the instance's irrational numbers; 0 when
+        every length and the origin are rational."""
+        return self._radicand
+
     def length(self, letter: str) -> QuadNum:
         self._alphabet.rank(letter)
         return self._lengths[letter]
@@ -218,8 +240,8 @@ class Iet:
 
     def interval(self, letter: str) -> Interval:
         """The domain piece of ``letter``."""
-        _, left, right, _ = self._row[letter]
-        return Interval(left, right)
+        i = self._alphabet.rank(letter)
+        return Interval(self._bounds[i], self._bounds[i + 1])
 
     def translation(self, letter: str) -> QuadNum:
         self._alphabet.rank(letter)
@@ -242,13 +264,64 @@ class Iet:
             f"{lens}, origin={self._origin})"
         )
 
+    # -- lattice coordinates ----------------------------------------------------
+
+    def _lattice(self) -> tuple[int, int, tuple[tuple[int, int], ...], tuple]:
+        """The instance on its lattice: ``(R, d, bounds, rows)``.
+
+        ``bounds`` are the domain boundaries ``[origin, cut..., end]`` and
+        ``rows`` one ``(letter, right P, right Q, tau P, tau Q)`` per piece,
+        each number ``x`` as the pair ``(P, Q)`` with ``x = (P + Q sqrt(d))/R``.
+        Built on first use, since Rauzy states never need it.
+        """
+        if self._grid is None:
+            taus = [self._tau[c] for c in self._alphabet]
+            R = lcm(*(v.r for v in self._bounds), *(tau.r for tau in taus))
+
+            def at(v: QuadNum) -> tuple[int, int]:
+                m = R // v.r
+                return v.p * m, v.q * m
+
+            bounds = tuple(at(v) for v in self._bounds)
+            rows = tuple(
+                (c, *at(right), *at(tau)) for c, right, tau in zip(self._alphabet, self._bounds[1:], taus)
+            )
+            self._grid = (R, self._radicand, bounds, rows)
+        return self._grid
+
+    def _orbit(self, x: QuadNum) -> Iterator[tuple[str, int, int]]:
+        """``(letter, P, Q)`` for x, T(x), T^2(x), ...: each orbit point on
+        the lattice of the instance and of ``x``, with its letter.
+
+        ``x`` is located with :meth:`letter_at` first, so a point outside the
+        domain or of another radicand raises as it does there.
+        """
+        self.letter_at(x)
+        R, d, _, rows = self._lattice()
+        if x.q and d and x.d != d:
+            raise _mismatch(x.d, d)
+        d = d or x.d  # a rational instance takes the radicand of the point
+        m = lcm(R, x.r) // R
+        if m != 1:
+            rows = tuple((c, rp * m, rq * m, tp * m, tq * m) for c, rp, rq, tp, tq in rows)
+        n = R * m // x.r
+        P, Q = x.p * n, x.q * n
+        while True:
+            # The last right end is the end of the domain, so the scan stops.
+            for c, rp, rq, tp, tq in rows:
+                if _lt(P - rp, Q - rq, d):
+                    break
+            yield c, P, Q
+            P += tp
+            Q += tq
+
     # -- dynamics -------------------------------------------------------------
 
     def letter_at(self, x: QuadNum) -> str:
         """The letter of the domain piece containing ``x``."""
         i = bisect_right(self._bounds, x)
         if 0 < i < len(self._bounds):
-            return self._pieces[i - 1][0]
+            return self._alphabet.letters[i - 1]
         raise ValueError(f"point {x} is outside the domain {self._domain}")
 
     def apply(self, x: QuadNum) -> QuadNum:
@@ -272,27 +345,22 @@ class Iet:
         """
         if depth < 0:
             raise ValueError("depth must be nonnegative")
-        d_map, d_inv = self.discontinuities()
-        targets = set(d_map)
-        for x in d_inv:
-            y = x
-            for n in range(depth + 1):
-                if y in targets:
+        R, d, bounds, _ = self._lattice()
+        targets = set(bounds[1:-1])
+        # Image cuts are sums of bounds and translations, so they lie on the
+        # instance's lattice and their orbits keep its R.
+        for x in self._image_bounds[1:-1]:
+            for n, (_, P, Q) in zip(range(depth + 1), self._orbit(x)):
+                if (P, Q) in targets:
+                    y = QuadNum(P, Q, R, d)
                     return KeaneVerdict(regular_to_depth=n - 1, failure=Connection(x, y, n))
-                if n < depth:
-                    y = self.apply(y)
         return KeaneVerdict(regular_to_depth=depth)
 
     def trajectory(self, x: QuadNum, n: int) -> str:
         """The first ``n`` letters of the orbit coding of ``x``."""
         if n < 0:
             raise ValueError("trajectory length must be nonnegative")
-        out = []
-        for _ in range(n):
-            c = self.letter_at(x)
-            out.append(c)
-            x = x + self._tau[c]
-        return "".join(out)
+        return "".join([c for c, _, _ in islice(self._orbit(x), n)])
 
     def cylinder(self, w: str) -> Interval:
         """Largest interval whose points have trajectories starting with ``w``.
@@ -301,44 +369,52 @@ class Iet:
         is not in the language.
         """
         self._alphabet.require(w)
+        R, d, bounds, rows = self._lattice()
+        rank = self._alphabet.rank
         # [lo, hi) is T^k of the cylinder of the first k letters, and shift
         # the translation T^k applies on it.
-        lo, hi = self._domain.left, self._domain.right
-        shift = 0
+        (lp, lq), (hp, hq) = bounds[0], bounds[-1]
+        sp = sq = 0
         for c in w:
-            _, left, right, tau = self._row[c]
-            if left > lo:
-                lo = left
-            if right < hi:
-                hi = right
-            if lo >= hi:
+            i = rank(c)
+            (ap, aq), (bp, bq) = bounds[i], bounds[i + 1]
+            _, _, _, tp, tq = rows[i]
+            if _lt(lp - ap, lq - aq, d):
+                lp, lq = ap, aq
+            if _lt(bp - hp, bq - hq, d):
+                hp, hq = bp, bq
+            if not _lt(lp - hp, lq - hq, d):
                 return EMPTY
-            lo, hi, shift = lo + tau, hi + tau, tau + shift
-        return Interval(lo - shift, hi - shift)
+            lp, lq, hp, hq, sp, sq = lp + tp, lq + tq, hp + tp, hq + tq, sp + tp, sq + tq
+        return Interval(QuadNum(lp - sp, lq - sq, R, d), QuadNum(hp - sp, hq - sq, R, d))
 
     def language(self, n: int) -> set[str]:
         """All factors of length <= n, by exact cylinder refinement.
 
         Each word ``w`` of length k carries the image ``T^k(cyl(w))`` as a
-        pair ``[lo, hi)``; the image of ``cyl(wc)`` is that pair cut to the
-        piece of ``c`` and moved by its translation.
+        pair ``[lo, hi)`` of lattice points; the image of ``cyl(wc)`` is that
+        pair cut to the piece of ``c`` and moved by its translation.  The
+        pieces ``[lo, hi)`` meets are consecutive: the first is the one
+        whose right end passes ``lo``, the last the one whose right end
+        reaches ``hi``.
         """
         if n < 0:
             raise ValueError("maximal length must be nonnegative")
+        _, d, bounds, rows = self._lattice()
         words: set[str] = {""}
-        level = [("", self._domain.left, self._domain.right)]
+        level = [("", *bounds[0], *bounds[-1])]
         for _ in range(n):
             next_level = []
-            for w, lo, hi in level:
-                for c, left, right, tau in self._pieces:
-                    if right <= lo:
+            for w, lp, lq, hp, hq in level:
+                for c, rp, rq, tp, tq in rows:
+                    if not _lt(lp - rp, lq - rq, d):
                         continue
-                    if hi <= left:
+                    if not _lt(rp - hp, rq - hq, d):
+                        next_level.append((w + c, lp + tp, lq + tq, hp + tp, hq + tq))
                         break
-                    a = left if left > lo else lo
-                    b = right if right < hi else hi
-                    next_level.append((w + c, a + tau, b + tau))
-            words.update(w for w, _, _ in next_level)
+                    next_level.append((w + c, lp + tp, lq + tq, rp + tp, rq + tq))
+                    lp, lq = rp, rq
+            words.update(w for w, *_ in next_level)
             level = next_level
         return words
 
@@ -381,15 +457,12 @@ class Iet:
             expected = self.d
         if horizon is None:
             horizon = 200 * len(w) * self.d
-        x = block.midpoint()
         k = len(w)
         last = w[-1]
         found: set[str] = set()
         trail: list[str] = []
         prev_start: int | None = None
-        for step in range(horizon):
-            c = self.letter_at(x)
-            x = x + self._tau[c]
+        for step, (c, _, _) in zip(range(horizon), self._orbit(block.midpoint())):
             trail.append(c)
             if c == last and len(trail) >= k and "".join(trail[-k:]) == w:
                 start = step - k + 1

@@ -1,8 +1,10 @@
-"""CLI input handling: report bytes, environment variables and radicands."""
+"""CLI input handling: report bytes, environment variables, radicands and work budgets."""
 
 import json
 import os
 import pathlib
+import random
+import string
 import subprocess
 import sys
 import time
@@ -10,7 +12,15 @@ import time
 import pytest
 
 import ietkit
-from ietkit.cli import IetFileError, main, parse_iet_file
+from ietkit import Iet, OrderedAlphabet
+from ietkit.cli import (
+    MAX_LANGUAGE_NODES,
+    MAX_ORBIT_STEPS,
+    IetFileError,
+    _rank_key,
+    main,
+    parse_iet_file,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 EXPECTED = DATA / "expected"
@@ -106,3 +116,67 @@ def test_environment_defaults_are_read_on_every_call(capsys, monkeypatch, golden
     monkeypatch.setenv("IETKIT_KEANE_DEPTH", "7")
     assert main(["iet", "check", golden_file, "--depth", "5"]) == 0
     assert "no connection up to depth 5\n" in capsys.readouterr().out
+
+
+def test_language_rows_follow_the_alphabet_order(tmp_path, capsys):
+    """Rows of `iet language` are sorted in the instance's alphabet order,
+    which here is not the order of the characters."""
+    path = tmp_path / "dcba.iet"
+    path.write_text("alphabet = dcba\npi = bdac\nlen.d = (1)\nlen.c = (2)\nlen.b = (1, 0, 3)\nlen.a = (5, 0, 7)\n")
+    assert main(["iet", "language", str(path), "--max-len", "5"]) == 0
+    alphabet = OrderedAlphabet("dcba")
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 5
+    for line in rows:
+        row = line.split(": ", 1)[1].split()
+        assert row == sorted(row, key=alphabet.key)
+
+
+@pytest.mark.parametrize("letters", ["dcba", "ab", "".join(random.Random(5).sample(string.ascii_lowercase, 26))])
+def test_rank_key_sorts_as_the_alphabet_key(letters):
+    alphabet = OrderedAlphabet(letters)
+    rng = random.Random(letters)
+    words = ["".join(rng.choice(letters) for _ in range(rng.randint(0, 6))) for _ in range(400)]
+    assert sorted(words, key=_rank_key(alphabet)) == sorted(words, key=alphabet.key)
+
+
+def test_budgets_cover_the_benchmark_calls():
+    """Each budget is at least 100 times the largest call of the orbit
+    benchmark: 10,000 trajectory steps, depth 5000 and --max-len 60 on a
+    four-letter exchange."""
+    assert MAX_ORBIT_STEPS >= 100 * 10_000
+    assert MAX_ORBIT_STEPS >= 100 * 3 * 5000
+    assert MAX_LANGUAGE_NODES >= 100 * sum(3 * k + 1 for k in range(61))
+
+
+HUGE = str(10**12)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["iet", "traj", "{f}", "--point", "(0)", "--steps", HUGE],
+     f"--steps {HUGE} would take {HUGE} orbit steps, more than {MAX_ORBIT_STEPS}"),
+    (["iet", "check", "{f}", "--depth", HUGE],
+     f"--depth {HUGE} would take {2 * 10**12} orbit steps, more than {MAX_ORBIT_STEPS}"),
+    (["verify", "{f}", "--keane-depth", HUGE],
+     f"--keane-depth {HUGE} would take {2 * 10**12} orbit steps, more than {MAX_ORBIT_STEPS}"),
+    (["iet", "language", "{f}", "--max-len", HUGE],
+     f"--max-len {HUGE} would take {10**24 + 2 * 10**12 + 1} language nodes, more than {MAX_LANGUAGE_NODES}"),
+    (["verify", "{f}", "--max-len", HUGE],
+     f"--max-len {HUGE} would take {10**24 + 2 * 10**12 + 1} language nodes, more than {MAX_LANGUAGE_NODES}"),
+    (["classify", "--source", "iet:{f}", "--depth", "998"],
+     "--depth is too large for this source: a sample of depth 1000 would take 1002001 language nodes, "
+     f"more than {MAX_LANGUAGE_NODES}"),
+    (["extgraph", "--source", "iet:{f}", "--word", "a", "--depth", "1000"],
+     "--depth is too large for this source: a sample of depth 1000 would take 1002001 language nodes, "
+     f"more than {MAX_LANGUAGE_NODES}"),
+], ids=["traj", "check", "verify-keane", "language", "verify-max-len", "classify-iet", "extgraph-iet"])
+def test_huge_work_is_refused_before_it_starts(monkeypatch, capsys, golden_file, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the request should have been refused before any work")
+
+    for name in ("trajectory", "check_keane", "language"):
+        monkeypatch.setattr(Iet, name, no_work)
+    assert main([a.replace("{f}", golden_file) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

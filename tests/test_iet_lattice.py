@@ -1,0 +1,284 @@
+"""The lattice loops of ``Iet`` checked against their QuadNum forms.
+
+``trajectory``, ``check_keane``, ``return_words_scan``, ``language`` and
+``cylinder`` step integer lattice coordinates.  The oracles below are the
+same loops on :class:`QuadNum` values, as they were written before the
+lattice, reading only the public piece data of the instance.
+"""
+
+import pathlib
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from ietkit import Iet, OrderedAlphabet, Permutation, QuadNum  # noqa: E402
+from ietkit.cli import parse_iet_file  # noqa: E402
+from ietkit.iet import EMPTY, Connection, IncompleteScanError, Interval, KeaneVerdict  # noqa: E402
+
+DATA = pathlib.Path(__file__).parent / "data"
+FILES = {name: parse_iet_file(str(DATA / name)) for name in ("golden.iet", "sqrt2_4.iet")}
+
+
+# -- QuadNum oracles -------------------------------------------------------------
+
+
+def rows(iet: Iet):
+    return [(c, iet.interval(c).left, iet.interval(c).right, iet.translation(c)) for c in iet.alphabet]
+
+
+def trajectory_oracle(iet: Iet, x: QuadNum, n: int) -> str:
+    out = []
+    for _ in range(n):
+        c = iet.letter_at(x)
+        out.append(c)
+        x = x + iet.translation(c)
+    return "".join(out)
+
+
+def check_keane_oracle(iet: Iet, depth: int) -> KeaneVerdict:
+    d_map, d_inv = iet.discontinuities()
+    targets = set(d_map)
+    for x in d_inv:
+        y = x
+        for n in range(depth + 1):
+            if y in targets:
+                return KeaneVerdict(regular_to_depth=n - 1, failure=Connection(x, y, n))
+            if n < depth:
+                y = iet.apply(y)
+    return KeaneVerdict(regular_to_depth=depth)
+
+
+def cylinder_oracle(iet: Iet, w: str) -> Interval:
+    lo, hi = iet.domain.left, iet.domain.right
+    shift = 0
+    for c in w:
+        left, right = iet.interval(c).left, iet.interval(c).right
+        if left > lo:
+            lo = left
+        if right < hi:
+            hi = right
+        if lo >= hi:
+            return EMPTY
+        tau = iet.translation(c)
+        lo, hi, shift = lo + tau, hi + tau, tau + shift
+    return Interval(lo - shift, hi - shift)
+
+
+def language_oracle(iet: Iet, n: int) -> set[str]:
+    words = {""}
+    level = [("", iet.domain.left, iet.domain.right)]
+    for _ in range(n):
+        next_level = []
+        for w, lo, hi in level:
+            for c, left, right, tau in rows(iet):
+                if right <= lo:
+                    continue
+                if hi <= left:
+                    break
+                a = left if left > lo else lo
+                b = right if right < hi else hi
+                next_level.append((w + c, a + tau, b + tau))
+        words.update(w for w, _, _ in next_level)
+        level = next_level
+    return words
+
+
+def scan_oracle(iet: Iet, w: str, horizon: int) -> frozenset[str]:
+    x = cylinder_oracle(iet, w).midpoint()
+    k, expected = len(w), iet.d
+    found: set[str] = set()
+    trail: list[str] = []
+    prev_start = None
+    for step in range(horizon):
+        c = iet.letter_at(x)
+        x = x + iet.translation(c)
+        trail.append(c)
+        if c == w[-1] and len(trail) >= k and "".join(trail[-k:]) == w:
+            start = step - k + 1
+            if prev_start is not None:
+                found.add("".join(trail[prev_start:start]))
+                if len(found) >= expected:
+                    return frozenset(found)
+            prev_start = start
+    raise IncompleteScanError(
+        f"horizon {horizon} exhausted with {len(found)} of {expected} return words for {w!r}",
+        frozenset(found),
+    )
+
+
+def same_outcome(fast, slow):
+    """Both calls return equal values, or raise the same error with the same
+    message (and the same words, for an incomplete scan)."""
+    try:
+        expected = slow()
+    except (ValueError, IncompleteScanError) as exc:
+        with pytest.raises(type(exc)) as caught:
+            fast()
+        assert str(caught.value) == str(exc)
+        assert getattr(caught.value, "words", None) == getattr(exc, "words", None)
+        return None
+    got = fast()
+    assert got == expected
+    return got
+
+
+# -- instances and points ----------------------------------------------------------
+
+
+@st.composite
+def rational_iets(draw) -> Iet:
+    """Random rational exchanges with a nonzero origin."""
+    d = draw(st.integers(2, 4))
+    alphabet = OrderedAlphabet("abcd"[:d])
+    order = draw(st.permutations(range(d)))
+    lengths = {c: QuadNum(draw(st.integers(1, 9)), 0, draw(st.integers(1, 6))) for c in alphabet}
+    origin = QuadNum(draw(st.integers(-5, 5).filter(bool)), 0, draw(st.integers(1, 4)))
+    return Iet(alphabet, Permutation(order), lengths, origin)
+
+
+instances = st.one_of(st.sampled_from(sorted(FILES)).map(FILES.get), rational_iets())
+
+
+@st.composite
+def points(draw, iet: Iet) -> QuadNum:
+    """A point of the domain, with denominators that need not divide the
+    instance's, or a literal point that may fall outside it."""
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 13))
+        frac = QuadNum(draw(st.integers(0, m - 1)), 0, m)
+        return iet.domain.left + (iet.domain.right - iet.domain.left) * frac
+    d = iet.radicand
+    return QuadNum(draw(st.integers(-12, 12)), draw(st.integers(-3, 3)) if d else 0, draw(st.integers(1, 11)), d)
+
+
+# -- differential tests ------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_trajectory_matches_quadnum_steps(data):
+    iet = data.draw(instances)
+    x = data.draw(points(iet))
+    n = data.draw(st.integers(0, 300))
+    same_outcome(lambda: iet.trajectory(x, n), lambda: trajectory_oracle(iet, x, n))
+
+
+def test_trajectory_from_a_point_off_the_instance_lattice():
+    golden = FILES["golden.iet"]
+    x = QuadNum(1, 0, 7)
+    assert golden.trajectory(x, 500) == trajectory_oracle(golden, x, 500)
+    assert golden.trajectory(x, 0) == ""
+    # A zero-length trajectory reads no letter, so it checks nothing.
+    assert golden.trajectory(QuadNum(5), 0) == ""
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances, st.integers(0, 60))
+def test_check_keane_matches_quadnum_orbits(iet, depth):
+    verdict = iet.check_keane(depth)
+    assert verdict == check_keane_oracle(iet, depth)
+    if verdict.failure is not None:
+        y = verdict.failure.y
+        assert y.literal() == check_keane_oracle(iet, depth).failure.y.literal()
+        assert y in iet.discontinuities()[0]
+
+
+def test_rational_exchanges_report_their_connections():
+    """Rational exchanges are periodic, so a deep check finds a connection;
+    the lattice finds the same one, ``y`` literal included."""
+    iet = Iet(OrderedAlphabet("abc"), Permutation([2, 1, 0]),
+              {"a": QuadNum(3, 0, 2), "b": QuadNum(1), "c": QuadNum(5, 0, 4)}, QuadNum(-7, 0, 3))
+    verdict = iet.check_keane(200)
+    expected = check_keane_oracle(iet, 200)
+    assert not verdict.is_regular
+    assert verdict == expected
+    assert (verdict.failure.x.literal(), verdict.failure.y.literal()) == (
+        expected.failure.x.literal(), expected.failure.y.literal()
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_return_words_scan_matches_quadnum_scan(data):
+    iet = data.draw(instances)
+    words = sorted(w for w in iet.language(4) if w)
+    w = data.draw(st.sampled_from(words))
+    horizon = data.draw(st.integers(0, 400))
+    same_outcome(lambda: iet.return_words_scan(w, horizon=horizon), lambda: scan_oracle(iet, w, horizon))
+
+
+def test_scan_keeps_its_horizon_message_and_words():
+    iet = FILES["sqrt2_4.iet"]
+    with pytest.raises(IncompleteScanError) as caught:
+        iet.return_words_scan("cbccbc", horizon=2000)
+    with pytest.raises(IncompleteScanError) as expected:
+        scan_oracle(iet, "cbccbc", 2000)
+    assert str(caught.value) == str(expected.value)
+    assert caught.value.words == expected.value.words
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances, st.integers(0, 8))
+def test_language_matches_quadnum_refinement(iet, n):
+    assert iet.language(n) == language_oracle(iet, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cylinder_matches_quadnum_refinement(data):
+    iet = data.draw(instances)
+    letters = iet.alphabet.letters
+    w = "".join(data.draw(st.lists(st.sampled_from(letters), max_size=8)))
+    cyl = iet.cylinder(w)
+    expected = cylinder_oracle(iet, w)
+    assert cyl == expected
+    assert repr(cyl) == repr(expected)
+
+
+# -- errors ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("x", [QuadNum(5), QuadNum(1), QuadNum(-1, 0, 9)])
+def test_point_outside_the_domain_keeps_its_message(x):
+    golden = FILES["golden.iet"]
+    with pytest.raises(ValueError, match=r"^point .* is outside the domain \[\(0\), \(1\)\)$") as caught:
+        golden.trajectory(x, 3)
+    with pytest.raises(ValueError) as expected:
+        trajectory_oracle(golden, x, 3)
+    assert str(caught.value) == str(expected.value)
+
+
+def test_mismatched_radicand_keeps_its_message():
+    golden = FILES["golden.iet"]
+    x = QuadNum(1, 1, 5, 2)
+    with pytest.raises(ValueError, match=r"^mismatched radicands: sqrt\(2\) vs sqrt\(5\)$"):
+        golden.trajectory(x, 3)
+    with pytest.raises(ValueError, match=r"^mismatched radicands: sqrt\(2\) vs sqrt\(5\)$"):
+        trajectory_oracle(golden, x, 3)
+
+
+def test_mismatched_radicand_found_past_rational_bounds():
+    """Locating (sqrt 3)/10 compares it with rational bounds only, so the
+    mismatch shows first when the orbit adds an irrational translation."""
+    iet = Iet(OrderedAlphabet("abcd"), Permutation([3, 2, 1, 0]),
+              {"a": QuadNum(1), "b": QuadNum(1), "c": QuadNum(0, 1, 1, 2), "d": QuadNum(1)})
+    x = QuadNum(0, 1, 10, 3)
+    assert iet.letter_at(x) == "a"
+    message = r"^mismatched radicands: sqrt\(3\) vs sqrt\(2\)$"
+    with pytest.raises(ValueError, match=message):
+        iet.trajectory(x, 3)
+    with pytest.raises(ValueError, match=message):
+        trajectory_oracle(iet, x, 3)
+
+
+def test_radicand_of_instances():
+    assert FILES["golden.iet"].radicand == 5
+    assert FILES["sqrt2_4.iet"].radicand == 2
+    rational = Iet(OrderedAlphabet("ab"), Permutation([1, 0]), {"a": 1, "b": QuadNum(1, 0, 2)})
+    assert rational.radicand == 0
+    # An irrational origin gives its radicand to rational lengths.
+    shifted = Iet(OrderedAlphabet("ab"), Permutation([1, 0]), {"a": 1, "b": 2}, QuadNum(0, 1, 1, 3))
+    assert shifted.radicand == 3
