@@ -209,7 +209,8 @@ class QuadNum:
 
     @classmethod
     def parse(cls, text: str, d: int = 0) -> "QuadNum":
-        """Parse ``(p)`` or ``(p, q, r)``; ``d`` supplies the radicand."""
+        """Parse ``(p)`` or ``(p, q, r)``; ``d`` supplies the radicand, which a
+        nonzero ``q`` needs (with ``d = 0`` it would silently drop out)."""
         body = text.strip()
         if not (body.startswith("(") and body.endswith(")")):
             raise ValueError(f"bad number literal {text!r}, expected (p) or (p, q, r)")
@@ -221,6 +222,8 @@ class QuadNum:
         if len(ints) == 1:
             return cls(ints[0])
         if len(ints) == 3:
+            if ints[1] and not d:
+                raise ValueError(f"bad number literal {text!r}: irrational part with no radicand d")
             return cls(ints[0], ints[1], ints[2], d)
         raise ValueError(f"bad number literal {text!r}, expected 1 or 3 components")
 

@@ -290,6 +290,8 @@ def verify_return_words(
     )
     failures: list[Failure] = []
     records: list[WordRecord] = []
+    # A return word of several factors is checked once.
+    checked: dict[str, ReturnWordCheck] = {}
     # Traces of the previous and the current length.  Each walk resumes from
     # its prefix's trace, except under ``trace``: the resumed final map names
     # its letters differently, and the printed theta is keyed by letter.
@@ -337,21 +339,22 @@ def verify_return_words(
             )
         checks = []
         for u in sorted(induced, key=lambda u: (len(u), alphabet.key(u))):
-            report = clustering_report(u, alphabet)
-            if not report.is_clustering:
-                failures.append(Failure(w, u, report.transform, "return word not clustering"))
-            matches = report.is_clustering and report.permutation == restricted_permutation(
-                iet.permutation, alphabet, report.support
-            )
-            checks.append(
-                ReturnWordCheck(
+            check = checked.get(u)
+            if check is None:
+                report = clustering_report(u, alphabet)
+                matches = report.is_clustering and report.permutation == restricted_permutation(
+                    iet.permutation, alphabet, report.support
+                )
+                check = checked[u] = ReturnWordCheck(
                     word=u,
                     transform=report.transform,
                     is_clustering=report.is_clustering,
                     blocks="".join(report.block_order),
                     matches_instance_permutation=matches,
                 )
-            )
+            if not check.is_clustering:
+                failures.append(Failure(w, u, check.transform, "return word not clustering"))
+            checks.append(check)
         records.append(
             WordRecord(
                 word=w,

@@ -23,6 +23,16 @@ Languages are enumerated by cylinder refinement, never by sampling
 trajectories: on a cylinder of the words of length k the k-th iterate is a
 single translation, so the children of a cylinder are exact interval
 intersections and no factor can be missed.
+
+Orbits are read a block of ``_K`` letters at a time.  The cylinders of the
+words of length K are intervals that tile the domain, at most
+``(d - 1)K + 1`` of them, and T^K is one translation on each (Keane,
+*Interval exchange transformations*, 1975).  The same refinement that
+enumerates the language lists them in left-end order, so one block step
+locates the point by a binary search over the left ends with the exact sign
+test, emits the cylinder's word and adds its translation.  The points inside
+a block are the block's start plus the prefix sums of the word's
+translations, so the connection search still tests every one of them.
 """
 
 from __future__ import annotations
@@ -35,6 +45,10 @@ from math import lcm
 
 from .arith import QuadNum, _mismatch
 from .words import OrderedAlphabet, Permutation
+
+# Letters per block step of the orbit loops.  The block table has at most
+# (d - 1)K + 1 entries; at K = 32 it costs more to build than it saves.
+_K = 16
 
 
 def _lt(a: int, b: int, d: int) -> bool:
@@ -191,6 +205,7 @@ class Iet:
         # that do not raises), and every length shows up in some bound.
         self._radicand = max(b.d for b in self._bounds)
         self._grid: tuple | None = None
+        self._table: tuple | None = None
 
     def _partition(self, letters: tuple[str, ...]) -> list[QuadNum]:
         bounds = [self._origin]
@@ -289,29 +304,96 @@ class Iet:
             self._grid = (R, self._radicand, bounds, rows)
         return self._grid
 
-    def _orbit(self, x: QuadNum) -> Iterator[tuple[str, int, int]]:
-        """``(letter, P, Q)`` for x, T(x), T^2(x), ...: each orbit point on
-        the lattice of the instance and of ``x``, with its letter.
+    def _refine(self, level: list[tuple[str, int, int, int, int]]) -> list[tuple[str, int, int, int, int]]:
+        """The cylinders one letter longer than those of ``level``.
+
+        An entry ``(w, lp, lq, hp, hq)`` is a word with the image
+        ``T^|w|(cyl(w)) = [lo, hi)`` on the lattice; the image of
+        ``cyl(wc)`` is that pair cut to the piece of ``c`` and moved by its
+        translation.  The pieces ``[lo, hi)`` meets are consecutive: the
+        first is the one whose right end passes ``lo``, the last the one
+        whose right end reaches ``hi``.  Children follow their parent's
+        order, which is the order of their cylinders in the domain.
+        """
+        _, d, _, rows = self._lattice()
+        next_level = []
+        for w, lp, lq, hp, hq in level:
+            for c, rp, rq, tp, tq in rows:
+                if not _lt(lp - rp, lq - rq, d):
+                    continue
+                if not _lt(rp - hp, rq - hq, d):
+                    next_level.append((w + c, lp + tp, lq + tq, hp + tp, hq + tq))
+                    break
+                next_level.append((w + c, lp + tp, lq + tq, rp + tp, rq + tq))
+                lp, lq = rp, rq
+        return next_level
+
+    def _blocks(self) -> tuple[list[int], list[int], list[str], list[tuple[int, int]], list[tuple]]:
+        """The block table: ``(lefts P, lefts Q, words, shifts, steps)``.
+
+        One entry per cylinder of the words of length ``_K``, in left-end
+        order: the left end on the lattice, the word, the translation of
+        T^K on the cylinder, and the ``_K`` prefix sums of the word's
+        translations (the first is zero), so that the orbit point ``j``
+        letters into the block is its start plus ``steps[i][j]``.  Built on
+        first orbit use, since Rauzy states never walk orbits.
+        """
+        if self._table is None:
+            _, _, bounds, rows = self._lattice()
+            level = [("", *bounds[0], *bounds[-1])]
+            for _ in range(_K):
+                level = self._refine(level)
+            tau = {c: (tp, tq) for c, _, _, tp, tq in rows}
+            lefts_p, lefts_q, words, shifts, steps = [], [], [], [], []
+            for w, lp, lq, _, _ in level:
+                sp = sq = 0
+                prefix = []
+                for c in w:
+                    prefix.append((sp, sq))
+                    tp, tq = tau[c]
+                    sp, sq = sp + tp, sq + tq
+                lefts_p.append(lp - sp)
+                lefts_q.append(lq - sq)
+                words.append(w)
+                shifts.append((sp, sq))
+                steps.append(tuple(prefix))
+            self._table = (lefts_p, lefts_q, words, shifts, steps)
+        return self._table
+
+    def _walk(self, x: QuadNum) -> Iterator[tuple[int, int, int]]:
+        """``(i, P, Q)`` for x, T^K(x), T^2K(x), ...: each point on the
+        lattice of the instance and of ``x``, with the index of the block
+        whose cylinder contains it.  The next ``_K`` letters of the orbit
+        are the block's word.
 
         ``x`` is located with :meth:`letter_at` first, so a point outside the
         domain or of another radicand raises as it does there.
         """
         self.letter_at(x)
-        R, d, _, rows = self._lattice()
+        R, d, _, _ = self._lattice()
+        lefts_p, lefts_q, _, shifts, _ = self._blocks()
         if x.q and d and x.d != d:
             raise _mismatch(x.d, d)
         d = d or x.d  # a rational instance takes the radicand of the point
         m = lcm(R, x.r) // R
         if m != 1:
-            rows = tuple((c, rp * m, rq * m, tp * m, tq * m) for c, rp, rq, tp, tq in rows)
+            lefts_p = [v * m for v in lefts_p]
+            lefts_q = [v * m for v in lefts_q]
+            shifts = [(tp * m, tq * m) for tp, tq in shifts]
         n = R * m // x.r
         P, Q = x.p * n, x.q * n
+        size = len(lefts_p)
         while True:
-            # The last right end is the end of the domain, so the scan stops.
-            for c, rp, rq, tp, tq in rows:
-                if _lt(P - rp, Q - rq, d):
-                    break
-            yield c, P, Q
+            # The last left end at or below the point; the first is the origin.
+            lo, hi = 0, size
+            while hi - lo > 1:
+                mid = (lo + hi) >> 1
+                if _lt(P - lefts_p[mid], Q - lefts_q[mid], d):
+                    hi = mid
+                else:
+                    lo = mid
+            yield lo, P, Q
+            tp, tq = shifts[lo]
             P += tp
             Q += tq
 
@@ -346,21 +428,26 @@ class Iet:
         if depth < 0:
             raise ValueError("depth must be nonnegative")
         R, d, bounds, _ = self._lattice()
+        steps = self._blocks()[4]
         targets = set(bounds[1:-1])
+        # Matching the rational part first saves building a pair per point.
+        target_p = {p for p, _ in targets}
         # Image cuts are sums of bounds and translations, so they lie on the
         # instance's lattice and their orbits keep its R.
         for x in self._image_bounds[1:-1]:
-            for n, (_, P, Q) in zip(range(depth + 1), self._orbit(x)):
-                if (P, Q) in targets:
-                    y = QuadNum(P, Q, R, d)
-                    return KeaneVerdict(regular_to_depth=n - 1, failure=Connection(x, y, n))
+            for start, (i, P, Q) in zip(range(0, depth + 1, _K), self._walk(x)):
+                for n, (sp, sq) in enumerate(steps[i][: depth + 1 - start], start):
+                    if P + sp in target_p and (P + sp, Q + sq) in targets:
+                        y = QuadNum(P + sp, Q + sq, R, d)
+                        return KeaneVerdict(regular_to_depth=n - 1, failure=Connection(x, y, n))
         return KeaneVerdict(regular_to_depth=depth)
 
     def trajectory(self, x: QuadNum, n: int) -> str:
         """The first ``n`` letters of the orbit coding of ``x``."""
         if n < 0:
             raise ValueError("trajectory length must be nonnegative")
-        return "".join([c for c, _, _ in islice(self._orbit(x), n)])
+        words = self._blocks()[2]
+        return "".join([words[i] for i, _, _ in islice(self._walk(x), -(-n // _K))])[:n]
 
     def cylinder(self, w: str) -> Interval:
         """Largest interval whose points have trajectories starting with ``w``.
@@ -389,33 +476,15 @@ class Iet:
         return Interval(QuadNum(lp - sp, lq - sq, R, d), QuadNum(hp - sp, hq - sq, R, d))
 
     def language(self, n: int) -> set[str]:
-        """All factors of length <= n, by exact cylinder refinement.
-
-        Each word ``w`` of length k carries the image ``T^k(cyl(w))`` as a
-        pair ``[lo, hi)`` of lattice points; the image of ``cyl(wc)`` is that
-        pair cut to the piece of ``c`` and moved by its translation.  The
-        pieces ``[lo, hi)`` meets are consecutive: the first is the one
-        whose right end passes ``lo``, the last the one whose right end
-        reaches ``hi``.
-        """
+        """All factors of length <= n, by exact cylinder refinement."""
         if n < 0:
             raise ValueError("maximal length must be nonnegative")
-        _, d, bounds, rows = self._lattice()
+        _, _, bounds, _ = self._lattice()
         words: set[str] = {""}
         level = [("", *bounds[0], *bounds[-1])]
         for _ in range(n):
-            next_level = []
-            for w, lp, lq, hp, hq in level:
-                for c, rp, rq, tp, tq in rows:
-                    if not _lt(lp - rp, lq - rq, d):
-                        continue
-                    if not _lt(rp - hp, rq - hq, d):
-                        next_level.append((w + c, lp + tp, lq + tq, hp + tp, hq + tq))
-                        break
-                    next_level.append((w + c, lp + tp, lq + tq, rp + tp, rq + tq))
-                    lp, lq = rp, rq
-            words.update(w for w, *_ in next_level)
-            level = next_level
+            level = self._refine(level)
+            words.update(w for w, *_ in level)
         return words
 
     def first_return(self, sub: Interval, z: QuadNum, cap: int = 10_000) -> tuple[QuadNum, int]:
@@ -458,19 +527,25 @@ class Iet:
         if horizon is None:
             horizon = 200 * len(w) * self.d
         k = len(w)
-        last = w[-1]
+        words = self._blocks()[2]
         found: set[str] = set()
-        trail: list[str] = []
+        text = ""
         prev_start: int | None = None
-        for step, (c, _, _) in zip(range(horizon), self._orbit(block.midpoint())):
-            trail.append(c)
-            if c == last and len(trail) >= k and "".join(trail[-k:]) == w:
-                start = step - k + 1
-                if prev_start is not None:
-                    found.add("".join(trail[prev_start:start]))
-                    if len(found) >= expected:
-                        return frozenset(found)
-                prev_start = start
+        if horizon > 0:
+            for i, _, _ in self._walk(block.midpoint()):
+                text += words[i]
+                # Occurrences that end in the new block and not past the
+                # horizon, in order.
+                start = text.find(w, max(0, len(text) - _K - k + 1), horizon)
+                while start >= 0:
+                    if prev_start is not None:
+                        found.add(text[prev_start:start])
+                        if len(found) >= expected:
+                            return frozenset(found)
+                    prev_start = start
+                    start = text.find(w, start + 1, horizon)
+                if len(text) >= horizon:
+                    break
         raise IncompleteScanError(
             f"horizon {horizon} exhausted with {len(found)} of {expected} return words for {w!r}",
             frozenset(found),

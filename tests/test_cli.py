@@ -296,3 +296,36 @@ class TestVerifyLibrary:
         assert not rigged.ok
         text = emit_report(rigged, "text").decode()
         assert text.index("FAIL b:") < text.index("word a:")
+
+
+def test_verify_checks_each_return_word_once(monkeypatch, golden):
+    """A return word shared by several factors is analysed once, and when it
+    is not clustering every record that has it still adds its own failure."""
+    import collections
+    import dataclasses
+
+    import ietkit.cli as cli
+
+    shared = collections.Counter(u for r in verify_return_words(golden, 4, keane_depth=50).records for u in r.return_words)
+    bad_word, count = shared.most_common(1)[0]
+    assert count > 1
+    analysed = []
+    real = cli.clustering_report
+
+    def report_marking_one_bad(u, alphabet):
+        analysed.append(u)
+        report = real(u, alphabet)
+        if u == bad_word:
+            return dataclasses.replace(report, is_clustering=False, permutation=None)
+        return report
+
+    monkeypatch.setattr(cli, "clustering_report", report_marking_one_bad)
+    report = verify_return_words(golden, 4, keane_depth=50)
+    assert sorted(analysed) == sorted(shared)
+    having = [r.word for r in report.records if bad_word in r.return_words]
+    assert len(having) == count
+    bad = [f for f in report.failures if f.reason == "return word not clustering"]
+    assert [(f.word, f.return_word) for f in bad] == [(w, bad_word) for w in having]
+    for r in report.records:
+        for check in r.checks:
+            assert check.is_clustering == (check.word != bad_word)

@@ -1,4 +1,5 @@
-"""CLI input handling: report bytes, environment variables, radicands and work budgets."""
+"""CLI input handling: report bytes, environment variables, radicands, number
+literals and work budgets."""
 
 import json
 import os
@@ -180,3 +181,31 @@ def test_huge_work_is_refused_before_it_starts(monkeypatch, capsys, golden_file,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_irrational_length_without_a_radicand_is_refused(tmp_path, capsys):
+    """With no ``d =`` line, ``(1, 1, 2)`` would be read as 1/2; it is refused
+    with its line number instead."""
+    path = tmp_path / "no_d.iet"
+    path.write_text("alphabet = ab\npi = ba\nlen.a = (1)\nlen.b = (1, 1, 2)\n")
+    message = "line 4: bad number literal '(1, 1, 2)': irrational part with no radicand d"
+    with pytest.raises(IetFileError) as caught:
+        parse_iet_file(str(path))
+    assert str(caught.value) == message
+    assert main(["iet", "check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_irrational_point_on_a_rational_instance_is_refused(tmp_path, capsys):
+    """On an instance whose numbers are all rational, ``--point (1, 3, 2)``
+    would run from 1/2; it is refused with one line and exit 2."""
+    path = tmp_path / "rational.iet"
+    path.write_text("d = 5\nalphabet = ab\npi = ba\nlen.a = (1, 0, 3)\nlen.b = (2, 0, 3)\n")
+    assert main(["iet", "traj", str(path), "--point", "(1, 3, 2)", "--steps", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad number literal '(1, 3, 2)': irrational part with no radicand d\n"
+    assert main(["iet", "traj", str(path), "--point", "(1, 0, 2)", "--steps", "6"]) == 0
+    assert capsys.readouterr().out == "babbab\n"

@@ -1,9 +1,12 @@
 """The lattice loops of ``Iet`` checked against their QuadNum forms.
 
 ``trajectory``, ``check_keane``, ``return_words_scan``, ``language`` and
-``cylinder`` step integer lattice coordinates.  The oracles below are the
-same loops on :class:`QuadNum` values, as they were written before the
-lattice, reading only the public piece data of the instance.
+``cylinder`` step integer lattice coordinates, and the orbit loops among
+them read ``_K`` letters per step from a table of cylinders.  The oracles
+below are the same loops on :class:`QuadNum` values, one letter at a time,
+as they were written before the lattice, reading only the public piece data
+of the instance.  Inputs at and around the block length sit beside the
+random ones.
 """
 
 import pathlib
@@ -16,7 +19,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ietkit import Iet, OrderedAlphabet, Permutation, QuadNum  # noqa: E402
 from ietkit.cli import parse_iet_file  # noqa: E402
-from ietkit.iet import EMPTY, Connection, IncompleteScanError, Interval, KeaneVerdict  # noqa: E402
+from ietkit.iet import _K, EMPTY, Connection, IncompleteScanError, Interval, KeaneVerdict  # noqa: E402
+from ietkit.rauzy import induce_to_cylinder  # noqa: E402
 
 DATA = pathlib.Path(__file__).parent / "data"
 FILES = {name: parse_iet_file(str(DATA / name)) for name in ("golden.iet", "sqrt2_4.iet")}
@@ -175,6 +179,50 @@ def test_trajectory_from_a_point_off_the_instance_lattice():
     assert golden.trajectory(QuadNum(5), 0) == ""
 
 
+# A rational exchange with a nonzero origin, in the strategy's terms.
+RATIONAL = Iet(OrderedAlphabet("abcd"), Permutation([2, 0, 1, 3]),
+               {"a": QuadNum(6), "b": QuadNum(6, 0, 4), "c": QuadNum(7, 0, 5), "d": QuadNum(5, 0, 3)},
+               QuadNum(-1, 0, 2))
+BLOCK_EDGES = (0, 1, _K - 1, _K, _K + 1, 163)
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+@pytest.mark.parametrize("name", ["golden.iet", "sqrt2_4.iet", "rational"])
+def test_trajectory_at_block_edges(name, n):
+    iet = FILES.get(name, RATIONAL)
+    domain = iet.domain
+    for x in (domain.left, QuadNum(1, 0, 7), domain.midpoint(), domain.right - QuadNum(1, 0, 1000)):
+        if domain.contains(x):
+            assert iet.trajectory(x, n) == trajectory_oracle(iet, x, n)
+
+
+# Rational exchanges whose first connection is at n = K - 1, K and K + 1,
+# found by searching random ones with the oracle.
+CONNECTED = {
+    _K - 1: Iet(OrderedAlphabet("abcd"), Permutation([1, 0, 2, 3]),
+                {"a": QuadNum(6, 0, 5), "b": QuadNum(9), "c": QuadNum(1, 0, 4), "d": QuadNum(3, 0, 2)},
+                QuadNum(1)),
+    _K: Iet(OrderedAlphabet("abcd"), Permutation([2, 0, 1, 3]),
+            {"a": QuadNum(6), "b": QuadNum(6, 0, 4), "c": QuadNum(7, 0, 5), "d": QuadNum(5, 0, 3)},
+            QuadNum(-1, 0, 2)),
+    _K + 1: Iet(OrderedAlphabet("ab"), Permutation([1, 0]),
+                {"a": QuadNum(6, 0, 5), "b": QuadNum(8, 0, 6)}, QuadNum(2)),
+}
+
+
+@pytest.mark.parametrize("n", sorted(CONNECTED))
+def test_check_keane_with_a_connection_at_a_block_edge(n):
+    iet = CONNECTED[n]
+    assert check_keane_oracle(iet, 10 * _K).failure.n == n
+    for depth in (n - 1, n):
+        verdict = iet.check_keane(depth)
+        expected = check_keane_oracle(iet, depth)
+        assert verdict == expected
+        if expected.failure is not None:
+            assert verdict.failure.y.literal() == expected.failure.y.literal()
+    assert not iet.check_keane(n).is_regular
+
+
 @settings(max_examples=100, deadline=None)
 @given(instances, st.integers(0, 60))
 def test_check_keane_matches_quadnum_orbits(iet, depth):
@@ -208,6 +256,38 @@ def test_return_words_scan_matches_quadnum_scan(data):
     w = data.draw(st.sampled_from(words))
     horizon = data.draw(st.integers(0, 400))
     same_outcome(lambda: iet.return_words_scan(w, horizon=horizon), lambda: scan_oracle(iet, w, horizon))
+
+
+@pytest.mark.parametrize("name, w", [
+    ("golden.iet", "cb"), ("golden.iet", "cbbac"), ("sqrt2_4.iet", "cb"), ("sqrt2_4.iet", "cbcc"),
+    ("sqrt2_4.iet", "cbccb"), ("rational", "ab"),
+])
+def test_scan_horizons_at_block_edges_and_cut_occurrences(name, w):
+    """Horizons that are not multiples of the block length, and horizons
+    that end inside, or just after, an occurrence of ``w`` that straddles a
+    block edge."""
+    iet = FILES.get(name, RATIONAL)
+    k = len(w)
+    text = trajectory_oracle(iet, cylinder_oracle(iet, w).midpoint(), 40 * _K)
+    starts = [s for s in range(len(text) - k + 1) if text.startswith(w, s)]
+    straddling = [s for s in starts if s // _K != (s + k - 1) // _K]
+    assert straddling
+    horizons = {_K + 1, 2 * _K - 1, 3 * _K + 5, 40 * _K}
+    for s in starts[:12] + straddling[:6]:
+        horizons.update((s + k - 1, s + k))
+    for horizon in sorted(horizons):
+        same_outcome(lambda: iet.return_words_scan(w, horizon=horizon), lambda: scan_oracle(iet, w, horizon))
+
+
+def test_rauzy_states_build_no_lattice_or_block_table():
+    """Induction steps never walk an orbit, so its states stay without the
+    lattice and the block table."""
+    iet = parse_iet_file(str(DATA / "sqrt2_4.iet"))
+    trace = induce_to_cylinder(iet, "cbccbc")
+    assert len(trace.states) > 10
+    for state in trace.states[1:]:
+        assert state._grid is None
+        assert state._table is None
 
 
 def test_scan_keeps_its_horizon_message_and_words():
