@@ -1,24 +1,11 @@
-"""Command-line interface and verification harness.
+"""The ``ietkit`` executable: argument parsing and printing over the library.
 
-One executable, ``ietkit``, with subcommands ``bwt``, ``ebwt``,
-``ebwt-inverse``, ``cluster``, ``morphism apply``, ``diet``,
-``iet check|traj|language|rauzy|returns``, ``extgraph``, ``classify`` and
-``verify``.  Interval exchanges are read from small key = value instance files::
-
-    d = 5
-    alphabet = abc
-    pi = bca
-    len.a = (-2, 1, 1)
-    len.b = (3, -1, 2)
-    len.c = (3, -1, 2)
-    origin = (0)
-
-Number literals are ``(p)`` or ``(p, q, r)`` meaning (p + q*sqrt(d)) / r with
-the file-level radicand d.  ``verify`` checks, for every factor of the
-language up to a length bound, that the scan and induction constructions of
-return words agree and that every return word is clustering; it exits 0
-exactly when no failure was recorded.  Structured reports are JSON with
-sorted keys, so identical inputs produce identical bytes.
+Subcommands are ``bwt``, ``ebwt``, ``ebwt-inverse``, ``cluster``,
+``morphism apply``, ``diet``, ``iet check|traj|language|rauzy|returns``,
+``extgraph``, ``classify`` and ``verify``.  Instance files are read by
+:mod:`ietkit.instance`, and ``verify`` runs :mod:`ietkit.verify`.  A bad
+input, or a request over a work budget, is refused before any work with one
+``error:`` line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -28,9 +15,8 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 
-from .arith import QuadNum, is_square_free
+from .arith import QuadNum
 from .bwt import ClusteringReport, clustering_report, inverse_ebwt, multiset_clustering_report
 from .diet import Diet, diet_action, diet_cylinder, orbit_words
 from .extgraph import (
@@ -47,136 +33,19 @@ from .extgraph import (
     sample_from_periodic,
 )
 from .iet import Iet, IncompleteScanError
+from .instance import parse_iet_file
 from .morphisms import Morphism
-from .rauzy import (
-    InductionCapError,
-    InductionTrace,
-    induce_to_cylinder,
-    rauzy_left,
-    rauzy_right,
-    step_morphism,
-)
+from .rauzy import InductionCapError, induce_to_cylinder, rauzy_left, rauzy_right, step_morphism
+from .verify import DEFAULT_KEANE_DEPTH, KeaneCheckFailed, emit_report, verify_return_words
 from .words import OrderedAlphabet, Permutation
 
-DEFAULT_KEANE_DEPTH = 1000
 # Up-front work budgets of the commands that follow orbits, in orbit steps
-# and in language nodes.  Each is over 100 times the largest call of the
-# orbit benchmark (`iet traj --steps 10000`, `iet check --depth 5000` on four
-# letters, `iet language --max-len 60` on four letters).
+# and in letters of the language.  Each is over 100 times the largest call
+# of the benchmark (`iet traj --steps 10000`, `iet check --depth 5000` on
+# four letters, `diet --words` on 3001 points, `iet language --max-len 60` on
+# four letters).
 MAX_ORBIT_STEPS = 2_000_000
-MAX_LANGUAGE_NODES = 1_000_000
-# Radicands above this are refused: checking square-freeness costs about
-# d ** (1/3) trial divisions.
-MAX_RADICAND = 10**18
-
-
-class IetFileError(ValueError):
-    """A syntax or consistency error in an interval exchange instance file."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
-class KeaneCheckFailed(RuntimeError):
-    """The instance has a connection, so verification is refused."""
-
-
-def parse_iet_file(path: str) -> Iet:
-    """Read and validate an interval exchange instance file."""
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.readlines()
-
-    entries: list[tuple[int, str, str]] = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise IetFileError(line_no, f"expected 'key = value', got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not key or not value:
-            raise IetFileError(line_no, f"expected 'key = value', got {line!r}")
-        entries.append((line_no, key, value))
-
-    d = 0
-    d_line: int | None = None
-    alphabet: OrderedAlphabet | None = None
-    pi_text: tuple[int, str] | None = None
-    origin_text: tuple[int, str] | None = None
-    length_texts: dict[str, tuple[int, str]] = {}
-
-    for line_no, key, value in entries:
-        if key == "d":
-            try:
-                new_d = int(value)
-            except ValueError:
-                raise IetFileError(line_no, f"radicand must be an integer, got {value!r}") from None
-            if d_line is not None and new_d != d:
-                raise IetFileError(line_no, f"mixed radicands: d = {d} then d = {new_d}")
-            if new_d > MAX_RADICAND:
-                raise IetFileError(line_no, f"radicand {new_d} is larger than 10**18")
-            if not is_square_free(new_d):
-                raise IetFileError(line_no, f"radicand {new_d} is not square-free")
-            d, d_line = new_d, line_no
-        elif key == "alphabet":
-            if alphabet is not None:
-                raise IetFileError(line_no, "alphabet given twice")
-            try:
-                alphabet = OrderedAlphabet(value)
-            except ValueError as exc:
-                raise IetFileError(line_no, str(exc)) from None
-        elif key == "pi":
-            if pi_text is not None:
-                raise IetFileError(line_no, "pi given twice")
-            pi_text = (line_no, value)
-        elif key == "origin":
-            if origin_text is not None:
-                raise IetFileError(line_no, "origin given twice")
-            origin_text = (line_no, value)
-        elif key.startswith("len."):
-            letter = key[4:]
-            if letter in length_texts:
-                raise IetFileError(line_no, f"length of {letter!r} given twice")
-            length_texts[letter] = (line_no, value)
-        else:
-            raise IetFileError(line_no, f"unknown key {key!r}")
-
-    if alphabet is None:
-        raise IetFileError(len(lines) + 1, "missing alphabet")
-    if pi_text is None:
-        raise IetFileError(len(lines) + 1, "missing pi")
-
-    line_no, value = pi_text
-    try:
-        pi = Permutation.parse(value, alphabet)
-    except ValueError as exc:
-        raise IetFileError(line_no, str(exc)) from None
-
-    lengths: dict[str, QuadNum] = {}
-    for letter, (line_no, value) in length_texts.items():
-        if letter not in alphabet:
-            raise IetFileError(line_no, f"length for unknown letter {letter!r}")
-        try:
-            lengths[letter] = QuadNum.parse(value, d)
-        except ValueError as exc:
-            raise IetFileError(line_no, str(exc)) from None
-
-    origin: QuadNum | int = 0
-    if origin_text is not None:
-        line_no, value = origin_text
-        try:
-            origin = QuadNum.parse(value, d)
-        except ValueError as exc:
-            raise IetFileError(line_no, str(exc)) from None
-
-    missing = [c for c in alphabet if c not in lengths]
-    if missing:
-        raise IetFileError(len(lines) + 1, f"missing lengths for letters {missing}")
-    try:
-        return Iet(alphabet, pi, lengths, origin)
-    except ValueError as exc:
-        raise IetFileError(len(lines) + 1, str(exc)) from None
+MAX_LANGUAGE_LETTERS = 10**8
 
 
 def _require_steps(what: str, steps: int) -> None:
@@ -185,257 +54,15 @@ def _require_steps(what: str, steps: int) -> None:
         raise ValueError(f"{what} would take {steps} orbit steps, more than {MAX_ORBIT_STEPS}")
 
 
-def _require_nodes(what: str, iet: Iet, max_len: int) -> None:
-    """Refuse, before any work, a language of words up to ``max_len`` whose
-    refinement could visit more than MAX_LANGUAGE_NODES cylinders: words of
-    length k number at most (d - 1) k + 1 in any exchange.  A negative length
-    counts as 0 and is left to the language's own error."""
+def _require_letters(what: str, iet: Iet, max_len: int) -> None:
+    """Refuse, before any work, a language of words up to ``max_len`` that
+    could spell more than MAX_LANGUAGE_LETTERS letters: words of length k
+    number at most (d - 1) k + 1 in any exchange.  A negative length counts
+    as 0 and is left to the language's own error."""
     n = max(max_len, 0)
-    nodes = (iet.d - 1) * n * (n + 1) // 2 + n + 1
-    if nodes > MAX_LANGUAGE_NODES:
-        raise ValueError(f"{what} would take {nodes} language nodes, more than {MAX_LANGUAGE_NODES}")
-
-
-# -- verification -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReturnWordCheck:
-    word: str
-    transform: str
-    is_clustering: bool
-    blocks: str
-    matches_instance_permutation: bool
-
-
-@dataclass(frozen=True)
-class WordRecord:
-    word: str
-    method_agreement: bool
-    return_words: tuple[str, ...]
-    checks: tuple[ReturnWordCheck, ...]
-    theta: tuple[tuple[str, str], ...] | None = None
-
-
-@dataclass(frozen=True)
-class Failure:
-    word: str
-    return_word: str | None
-    transform: str | None
-    reason: str
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    instance: str
-    max_len: int
-    keane_depth: int
-    words_checked: int
-    failures: tuple[Failure, ...]
-    records: tuple[WordRecord, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def restricted_permutation(
-    pi: Permutation, alphabet: OrderedAlphabet, support: OrderedAlphabet
-) -> Permutation:
-    """The pattern of ``pi`` on a sub-alphabet: its image order restricted
-    to the support letters, read as a permutation of the support."""
-    image_letters = [alphabet.letters[pi(i)] for i in range(len(pi))]
-    kept = [c for c in image_letters if c in support]
-    return Permutation(support.rank(c) for c in kept)
-
-
-def _instance_description(iet: Iet) -> str:
-    lens = " ".join(f"{c}={iet.length(c).literal()}" for c in iet.alphabet)
-    return (
-        f"alphabet={iet.alphabet} pi={iet.permutation.one_line_letters(iet.alphabet)} "
-        f"{lens} origin={iet.origin.literal()}"
-    )
-
-
-def verify_return_words(
-    iet: Iet,
-    max_len: int,
-    keane_depth: int = DEFAULT_KEANE_DEPTH,
-    cap: int | None = None,
-    trace: bool = False,
-) -> VerificationReport:
-    """Check the clustering property of all return words up to ``max_len``.
-
-    For every nonempty factor w of the language: compute the return words by
-    trajectory scan and by induction, require the two sets to be equal, and
-    require every return word to be clustering.  The clustering permutation
-    of each return word is also compared against the instance permutation
-    restricted to its support; that comparison is recorded, never judged.
-    ``cap`` bounds each word's chain of Rauzy steps (see
-    :func:`~ietkit.rauzy.induce_to_cylinder`).
-
-    Refuses instances whose finite-depth connection check fails.
-    """
-    verdict = iet.check_keane(keane_depth)
-    if not verdict.is_regular:
-        c = verdict.failure
-        raise KeaneCheckFailed(
-            f"connection found: T^{c.n}({c.x}) = {c.y}; "
-            f"the return-word analysis needs a connection-free instance"
-        )
-    alphabet = iet.alphabet
-    words = sorted(
-        (w for w in iet.language(max_len) if w),
-        key=lambda w: (len(w), alphabet.key(w)),
-    )
-    failures: list[Failure] = []
-    records: list[WordRecord] = []
-    # A return word of several factors is checked once.
-    checked: dict[str, ReturnWordCheck] = {}
-    # Traces of the previous and the current length.  Each walk resumes from
-    # its prefix's trace, except under ``trace``: the resumed final map names
-    # its letters differently, and the printed theta is keyed by letter.
-    prev: dict[str, InductionTrace] = {}
-    cur: dict[str, InductionTrace] = {}
-    length = 0
-    for w in words:
-        if len(w) != length:
-            prev, cur, length = cur, {}, len(w)
-        theta_images: tuple[tuple[str, str], ...] | None = None
-        try:
-            start = None if trace else prev.get(w[:-1])
-            try:
-                trace_result = induce_to_cylinder(iet, w, cap=cap, start=start)
-            except InductionCapError:
-                if start is None:
-                    raise
-                # A resumed chain can be a few steps longer than the word's
-                # own walk from the instance; fail only if that walk fails.
-                trace_result = induce_to_cylinder(iet, w, cap=cap)
-            cur[w] = trace_result
-            induced = frozenset(trace_result.theta(c) for c in trace_result.theta.source)
-            if trace:
-                theta_images = tuple(
-                    (c, trace_result.theta(c)) for c in trace_result.theta.source
-                )
-        except InductionCapError as exc:
-            failures.append(Failure(w, None, None, f"induction failed: {exc}"))
-            records.append(WordRecord(w, False, (), ()))
-            continue
-        try:
-            scanned = iet.return_words_scan(w)
-        except IncompleteScanError as exc:
-            failures.append(Failure(w, None, None, f"scan incomplete: {exc}"))
-            scanned = exc.words
-        agreement = scanned == induced
-        if not agreement:
-            failures.append(
-                Failure(
-                    w,
-                    None,
-                    None,
-                    f"methods disagree: scan {sorted(scanned)} vs induction {sorted(induced)}",
-                )
-            )
-        checks = []
-        for u in sorted(induced, key=lambda u: (len(u), alphabet.key(u))):
-            check = checked.get(u)
-            if check is None:
-                report = clustering_report(u, alphabet)
-                matches = report.is_clustering and report.permutation == restricted_permutation(
-                    iet.permutation, alphabet, report.support
-                )
-                check = checked[u] = ReturnWordCheck(
-                    word=u,
-                    transform=report.transform,
-                    is_clustering=report.is_clustering,
-                    blocks="".join(report.block_order),
-                    matches_instance_permutation=matches,
-                )
-            if not check.is_clustering:
-                failures.append(Failure(w, u, check.transform, "return word not clustering"))
-            checks.append(check)
-        records.append(
-            WordRecord(
-                word=w,
-                method_agreement=agreement,
-                return_words=tuple(sorted(induced, key=lambda u: (len(u), alphabet.key(u)))),
-                checks=tuple(checks),
-                theta=theta_images,
-            )
-        )
-    return VerificationReport(
-        instance=_instance_description(iet),
-        max_len=max_len,
-        keane_depth=keane_depth,
-        words_checked=len(words),
-        failures=tuple(failures),
-        records=tuple(records),
-    )
-
-
-def emit_report(report: VerificationReport, fmt: str = "text") -> bytes:
-    """Deterministic serialization; ``structured`` is JSON with sorted keys."""
-    if fmt == "structured":
-        payload = {
-            "instance": report.instance,
-            "max_len": report.max_len,
-            "keane_depth": report.keane_depth,
-            "words_checked": report.words_checked,
-            "failures": [
-                {
-                    "word": f.word,
-                    "return_word": f.return_word,
-                    "transform": f.transform,
-                    "reason": f.reason,
-                }
-                for f in report.failures
-            ],
-            "records": [
-                {
-                    "word": r.word,
-                    "method_agreement": r.method_agreement,
-                    "return_words": list(r.return_words),
-                    "checks": [
-                        {
-                            "word": c.word,
-                            "transform": c.transform,
-                            "clustering": c.is_clustering,
-                            "blocks": c.blocks,
-                            "matches_instance_permutation": c.matches_instance_permutation,
-                        }
-                        for c in r.checks
-                    ],
-                    **({"theta": dict(r.theta)} if r.theta is not None else {}),
-                }
-                for r in report.records
-            ],
-        }
-        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
-    if fmt != "text":
-        raise ValueError(f"unknown report format {fmt!r}")
-    lines = [
-        f"instance: {report.instance}",
-        f"max word length: {report.max_len}",
-        f"connection check depth: {report.keane_depth}",
-        f"words checked: {report.words_checked}",
-        f"failures: {len(report.failures)}",
-    ]
-    for f in report.failures:
-        where = f" return_word={f.return_word}" if f.return_word else ""
-        lines.append(f"FAIL {f.word}:{where} {f.reason}")
-    for r in report.records:
-        agree = "yes" if r.method_agreement else "NO"
-        ok = "yes" if all(c.is_clustering for c in r.checks) and r.checks else "NO"
-        pi_match = "yes" if r.checks and all(c.matches_instance_permutation for c in r.checks) else "no"
-        lines.append(
-            f"word {r.word}: returns={{{', '.join(r.return_words)}}} "
-            f"agree={agree} clustering={ok} matches_pi={pi_match}"
-        )
-        if r.theta is not None:
-            body = ", ".join(f"{a}:{img}" for a, img in r.theta)
-            lines.append(f"  theta: {body}")
-    return ("\n".join(lines) + "\n").encode()
+    letters = (iet.d - 1) * n * (n + 1) * (2 * n + 1) // 6 + n * (n + 1) // 2
+    if letters > MAX_LANGUAGE_LETTERS:
+        raise ValueError(f"{what} would spell {letters} letters, more than {MAX_LANGUAGE_LETTERS}")
 
 
 # -- small shared helpers -----------------------------------------------------
@@ -509,7 +136,7 @@ def _parse_source(text: str, alphabet_text: str | None, max_len: int):
         raise ValueError(f"--depth is too large for this source: {exc}") from None
     if kind == "iet":
         iet = parse_iet_file(body)
-        _require_nodes(f"--depth is too large for this source: a sample of depth {max_len}", iet, max_len)
+        _require_letters(f"--depth is too large for this source: a sample of depth {max_len}", iet, max_len)
         return sample_from_iet(iet, max_len, label=text), None, iet.permutation
     raise ValueError(f"unknown source kind {kind!r}")
 
@@ -604,8 +231,11 @@ def _cmd_diet(args) -> int:
     alphabet = OrderedAlphabet(letters)
     pi = Permutation.parse(args.pi, alphabet)
     diet = Diet(parts, pi)
+    # The action and the orbits take n steps, and a cylinder n per letter.
+    cylinder = None if args.cylinder is None else _word_arg(args.cylinder)
+    _require_steps(f"--composition {args.composition}", diet.n * (1 + len(cylinder or "")))
     mu = diet_action(diet)
-    cells = None if args.cylinder is None else diet_cylinder(diet, _word_arg(args.cylinder), alphabet)
+    cells = None if cylinder is None else diet_cylinder(diet, cylinder, alphabet)
     print(f"composition: {','.join(map(str, parts))}")
     print(f"pi: {pi.one_line_letters(alphabet)}")
     print(f"shifts: {','.join(map(str, diet.shifts))}")
@@ -663,7 +293,7 @@ def _rank_key(alphabet: OrderedAlphabet):
 
 def _cmd_iet_language(args) -> int:
     iet = parse_iet_file(args.file)
-    _require_nodes(f"--max-len {args.max_len}", iet, args.max_len)
+    _require_letters(f"--max-len {args.max_len}", iet, args.max_len)
     words = iet.language(args.max_len)
     by_len: dict[int, list[str]] = {}
     for w in words:
@@ -708,20 +338,19 @@ def _cmd_iet_rauzy(args) -> int:
 def _cmd_iet_returns(args) -> int:
     iet = parse_iet_file(args.file)
     word = _word_arg(args.word)
-    alphabet = iet.alphabet
-    key = lambda u: (len(u), alphabet.key(u))
-    induced = scanned = None
-    if args.method in ("induction", "both"):
-        trace = induce_to_cylinder(iet, word, cap=args.cap)
-        induced = frozenset(trace.theta(c) for c in trace.theta.source)
+    key = lambda u: (len(u), iet.alphabet.key(u))
+    # Every requested method runs before anything is printed.
+    trace = induce_to_cylinder(iet, word, cap=args.cap) if args.method in ("induction", "both") else None
+    scanned = iet.return_words_scan(word) if args.method in ("scan", "both") else None
+    induced = None
+    if trace is not None:
+        images = [(c, trace.theta(c)) for c in trace.theta.source]
+        induced = frozenset(u for _, u in images)
         if args.trace:
-            steps = " ".join(r.kind for r in trace.steps)
-            print(f"steps: {steps or '(none)'}")
-            body = ", ".join(f"{c}:{trace.theta(c)}" for c in trace.theta.source)
-            print(f"theta: {body}")
+            print(f"steps: {' '.join(r.kind for r in trace.steps) or '(none)'}")
+            print(f"theta: {', '.join(f'{c}:{u}' for c, u in images)}")
         print(f"induction returns: {' '.join(sorted(induced, key=key))}")
-    if args.method in ("scan", "both"):
-        scanned = iet.return_words_scan(word)
+    if scanned is not None:
         print(f"scan returns: {' '.join(sorted(scanned, key=key))}")
     if args.method == "both":
         print(f"agreement: {'yes' if scanned == induced else 'NO'}")
@@ -781,15 +410,9 @@ def _cmd_classify(args) -> int:
 def _cmd_verify(args) -> int:
     iet = parse_iet_file(args.file)
     _require_steps(f"--keane-depth {args.keane_depth}", (iet.d - 1) * args.keane_depth)
-    _require_nodes(f"--max-len {args.max_len}", iet, args.max_len)
+    _require_letters(f"--max-len {args.max_len}", iet, args.max_len)
     try:
-        report = verify_return_words(
-            iet,
-            args.max_len,
-            keane_depth=args.keane_depth,
-            cap=args.cap,
-            trace=args.trace,
-        )
+        report = verify_return_words(iet, args.max_len, args.keane_depth, cap=args.cap, trace=args.trace)
     except KeaneCheckFailed as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2

@@ -1,0 +1,254 @@
+"""Verification harness: every return word of a regular exchange is clustering.
+
+:func:`verify_return_words` checks, for every factor of an exchange's language
+up to a length bound, that the scan and induction constructions of its
+return words agree and that every return word is clustering.  The report is
+ok exactly when no failure was recorded.  :func:`emit_report` serializes it
+as text or as JSON with sorted keys, so identical inputs give identical
+bytes.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+
+from .bwt import clustering_report
+from .iet import Iet, IncompleteScanError
+from .rauzy import InductionCapError, InductionTrace, induce_to_cylinder
+from .words import OrderedAlphabet, Permutation
+
+DEFAULT_KEANE_DEPTH = 1000
+
+
+class KeaneCheckFailed(RuntimeError):
+    """The instance has a connection, so verification is refused."""
+
+
+@dataclass(frozen=True)
+class ReturnWordCheck:
+    word: str
+    transform: str
+    is_clustering: bool
+    blocks: str
+    matches_instance_permutation: bool
+
+
+@dataclass(frozen=True)
+class WordRecord:
+    word: str
+    method_agreement: bool
+    return_words: tuple[str, ...]
+    checks: tuple[ReturnWordCheck, ...]
+    theta: tuple[tuple[str, str], ...] | None = None
+
+
+@dataclass(frozen=True)
+class Failure:
+    word: str
+    return_word: str | None
+    transform: str | None
+    reason: str
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    instance: str
+    max_len: int
+    keane_depth: int
+    words_checked: int
+    failures: tuple[Failure, ...]
+    records: tuple[WordRecord, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def restricted_permutation(
+    pi: Permutation, alphabet: OrderedAlphabet, support: OrderedAlphabet
+) -> Permutation:
+    """The pattern of ``pi`` on a sub-alphabet: its image order restricted
+    to the support letters, read as a permutation of the support."""
+    image_letters = [alphabet.letters[pi(i)] for i in range(len(pi))]
+    kept = [c for c in image_letters if c in support]
+    return Permutation(support.rank(c) for c in kept)
+
+
+def _instance_description(iet: Iet) -> str:
+    lens = " ".join(f"{c}={iet.length(c).literal()}" for c in iet.alphabet)
+    return (
+        f"alphabet={iet.alphabet} pi={iet.permutation.one_line_letters(iet.alphabet)} "
+        f"{lens} origin={iet.origin.literal()}"
+    )
+
+
+def verify_return_words(
+    iet: Iet,
+    max_len: int,
+    keane_depth: int = DEFAULT_KEANE_DEPTH,
+    cap: int | None = None,
+    trace: bool = False,
+) -> VerificationReport:
+    """Check the clustering property of all return words up to ``max_len``.
+
+    For every nonempty factor w of the language: compute the return words by
+    trajectory scan and by induction, require the two sets to be equal, and
+    require every return word to be clustering.  The clustering permutation
+    of each return word is also compared against the instance permutation
+    restricted to its support; that comparison is recorded, never judged.
+    ``cap`` bounds each word's chain of Rauzy steps (see
+    :func:`~ietkit.rauzy.induce_to_cylinder`).  With ``trace`` each record
+    keeps the letter images of its induction morphism.
+
+    Refuses instances whose finite-depth connection check fails.
+    """
+    verdict = iet.check_keane(keane_depth)
+    if not verdict.is_regular:
+        c = verdict.failure
+        raise KeaneCheckFailed(
+            f"connection found: T^{c.n}({c.x}) = {c.y}; "
+            f"the return-word analysis needs a connection-free instance"
+        )
+    alphabet = iet.alphabet
+    key = lambda w: (len(w), alphabet.key(w))
+    words = sorted((w for w in iet.language(max_len) if w), key=key)
+    failures: list[Failure] = []
+    records: list[WordRecord] = []
+    # A return word of several factors is checked once.
+    checked: dict[str, ReturnWordCheck] = {}
+    # Traces of the previous and the current length.  Each walk resumes from
+    # its prefix's trace, except under ``trace``: the resumed final map names
+    # its letters differently, and the printed theta is keyed by letter.
+    prev: dict[str, InductionTrace] = {}
+    cur: dict[str, InductionTrace] = {}
+    length = 0
+    for w in words:
+        if len(w) != length:
+            prev, cur, length = cur, {}, len(w)
+        try:
+            start = None if trace else prev.get(w[:-1])
+            try:
+                trace_result = induce_to_cylinder(iet, w, cap=cap, start=start)
+            except InductionCapError:
+                if start is None:
+                    raise
+                # A resumed chain can be a few steps longer than the word's
+                # own walk from the instance; fail only if that walk fails.
+                trace_result = induce_to_cylinder(iet, w, cap=cap)
+        except InductionCapError as exc:
+            failures.append(Failure(w, None, None, f"induction failed: {exc}"))
+            records.append(WordRecord(w, False, (), ()))
+            continue
+        cur[w] = trace_result
+        images = tuple((c, trace_result.theta(c)) for c in trace_result.theta.source)
+        induced = frozenset(u for _, u in images)
+        try:
+            scanned = iet.return_words_scan(w)
+        except IncompleteScanError as exc:
+            failures.append(Failure(w, None, None, f"scan incomplete: {exc}"))
+            scanned = exc.words
+        agreement = scanned == induced
+        if not agreement:
+            reason = f"methods disagree: scan {sorted(scanned)} vs induction {sorted(induced)}"
+            failures.append(Failure(w, None, None, reason))
+        return_words = tuple(sorted(induced, key=key))
+        checks = []
+        for u in return_words:
+            check = checked.get(u)
+            if check is None:
+                report = clustering_report(u, alphabet)
+                matches = report.is_clustering and report.permutation == restricted_permutation(
+                    iet.permutation, alphabet, report.support
+                )
+                check = checked[u] = ReturnWordCheck(
+                    word=u,
+                    transform=report.transform,
+                    is_clustering=report.is_clustering,
+                    blocks="".join(report.block_order),
+                    matches_instance_permutation=matches,
+                )
+            if not check.is_clustering:
+                failures.append(Failure(w, u, check.transform, "return word not clustering"))
+            checks.append(check)
+        records.append(
+            WordRecord(
+                word=w,
+                method_agreement=agreement,
+                return_words=return_words,
+                checks=tuple(checks),
+                theta=images if trace else None,
+            )
+        )
+    return VerificationReport(
+        instance=_instance_description(iet),
+        max_len=max_len,
+        keane_depth=keane_depth,
+        words_checked=len(words),
+        failures=tuple(failures),
+        records=tuple(records),
+    )
+
+
+def emit_report(report: VerificationReport, fmt: str = "text") -> bytes:
+    """Deterministic serialization; ``structured`` is JSON with sorted keys."""
+    if fmt == "structured":
+        payload = {
+            "instance": report.instance,
+            "max_len": report.max_len,
+            "keane_depth": report.keane_depth,
+            "words_checked": report.words_checked,
+            "failures": [
+                {
+                    "word": f.word,
+                    "return_word": f.return_word,
+                    "transform": f.transform,
+                    "reason": f.reason,
+                }
+                for f in report.failures
+            ],
+            "records": [
+                {
+                    "word": r.word,
+                    "method_agreement": r.method_agreement,
+                    "return_words": list(r.return_words),
+                    "checks": [
+                        {
+                            "word": c.word,
+                            "transform": c.transform,
+                            "clustering": c.is_clustering,
+                            "blocks": c.blocks,
+                            "matches_instance_permutation": c.matches_instance_permutation,
+                        }
+                        for c in r.checks
+                    ],
+                    **({"theta": dict(r.theta)} if r.theta is not None else {}),
+                }
+                for r in report.records
+            ],
+        }
+        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+    if fmt != "text":
+        raise ValueError(f"unknown report format {fmt!r}")
+    lines = [
+        f"instance: {report.instance}",
+        f"max word length: {report.max_len}",
+        f"connection check depth: {report.keane_depth}",
+        f"words checked: {report.words_checked}",
+        f"failures: {len(report.failures)}",
+    ]
+    for f in report.failures:
+        where = f" return_word={f.return_word}" if f.return_word else ""
+        lines.append(f"FAIL {f.word}:{where} {f.reason}")
+    for r in report.records:
+        agree = "yes" if r.method_agreement else "NO"
+        ok = "yes" if all(c.is_clustering for c in r.checks) and r.checks else "NO"
+        pi_match = "yes" if r.checks and all(c.matches_instance_permutation for c in r.checks) else "no"
+        lines.append(
+            f"word {r.word}: returns={{{', '.join(r.return_words)}}} "
+            f"agree={agree} clustering={ok} matches_pi={pi_match}"
+        )
+        if r.theta is not None:
+            body = ", ".join(f"{a}:{img}" for a, img in r.theta)
+            lines.append(f"  theta: {body}")
+    return ("\n".join(lines) + "\n").encode()

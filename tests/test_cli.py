@@ -4,13 +4,13 @@ import pytest
 
 from ietkit import QuadNum
 from ietkit.cli import (
-    IetFileError,
     KeaneCheckFailed,
     emit_report,
     main,
     parse_iet_file,
     verify_return_words,
 )
+from ietkit.instance import IetFileError
 
 
 def run(capsys, *argv):
@@ -282,7 +282,7 @@ class TestVerifyLibrary:
         assert "theta:" in out
 
     def test_failures_listed_before_records(self, golden):
-        from ietkit.cli import Failure, VerificationReport
+        from ietkit.verify import Failure, VerificationReport
 
         report = verify_return_words(golden, 1, keane_depth=50)
         rigged = VerificationReport(
@@ -304,7 +304,7 @@ def test_verify_checks_each_return_word_once(monkeypatch, golden):
     import collections
     import dataclasses
 
-    import ietkit.cli as cli
+    import ietkit.verify as cli
 
     shared = collections.Counter(u for r in verify_return_words(golden, 4, keane_depth=50).records for u in r.return_words)
     bad_word, count = shared.most_common(1)[0]

@@ -1,4 +1,5 @@
-"""CLI commands: each transform computed once, classify depth checked."""
+"""CLI commands: each transform computed once, classify depth checked, no
+partial output from `iet returns`."""
 
 import importlib
 
@@ -118,3 +119,17 @@ def test_a_word_source_too_deep_to_sample_names_depth(capsys, argv, spelled):
     assert captured.out == ""
     assert captured.err.startswith(f"error: --depth is too large for this source: a sample of {spelled} period letters")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("method", ["both", "induction", "scan"])
+def test_returns_prints_nothing_when_a_method_fails(capsys, golden_file, method):
+    """The induction accepts the empty word and the scan refuses it; the
+    command computes every requested method before it prints anything."""
+    code = main(["iet", "returns", golden_file, "--word", "", "--method", method])
+    captured = capsys.readouterr()
+    if method == "induction":
+        assert (code, captured.out) == (0, "induction returns: a b c\n")
+        return
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: return words need a nonempty word\n"

@@ -15,13 +15,13 @@ import pytest
 import ietkit
 from ietkit import Iet, OrderedAlphabet
 from ietkit.cli import (
-    MAX_LANGUAGE_NODES,
+    MAX_LANGUAGE_LETTERS,
     MAX_ORBIT_STEPS,
-    IetFileError,
     _rank_key,
     main,
     parse_iet_file,
 )
+from ietkit.instance import IetFileError
 
 DATA = pathlib.Path(__file__).parent / "data"
 EXPECTED = DATA / "expected"
@@ -142,15 +142,19 @@ def test_rank_key_sorts_as_the_alphabet_key(letters):
 
 
 def test_budgets_cover_the_benchmark_calls():
-    """Each budget is at least 100 times the largest call of the orbit
-    benchmark: 10,000 trajectory steps, depth 5000 and --max-len 60 on a
-    four-letter exchange."""
+    """Each budget is at least 100 times the largest call of the benchmark:
+    10,000 trajectory steps, depth 5000 and --max-len 60 on a four-letter
+    exchange, and `diet --words` on 3001 points."""
     assert MAX_ORBIT_STEPS >= 100 * 10_000
     assert MAX_ORBIT_STEPS >= 100 * 3 * 5000
-    assert MAX_LANGUAGE_NODES >= 100 * sum(3 * k + 1 for k in range(61))
+    assert MAX_ORBIT_STEPS >= 100 * 3001
+    assert MAX_LANGUAGE_LETTERS >= 100 * sum((3 * k + 1) * k for k in range(61))
 
 
 HUGE = str(10**12)
+# The letters of the words of length k <= 10**12 of a three-letter exchange:
+# the sum of (2k + 1) k.
+SPELLED_HUGE = 666666666668166666666667500000000000
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -161,16 +165,25 @@ HUGE = str(10**12)
     (["verify", "{f}", "--keane-depth", HUGE],
      f"--keane-depth {HUGE} would take {2 * 10**12} orbit steps, more than {MAX_ORBIT_STEPS}"),
     (["iet", "language", "{f}", "--max-len", HUGE],
-     f"--max-len {HUGE} would take {10**24 + 2 * 10**12 + 1} language nodes, more than {MAX_LANGUAGE_NODES}"),
+     f"--max-len {HUGE} would spell {SPELLED_HUGE} letters, more than {MAX_LANGUAGE_LETTERS}"),
     (["verify", "{f}", "--max-len", HUGE],
-     f"--max-len {HUGE} would take {10**24 + 2 * 10**12 + 1} language nodes, more than {MAX_LANGUAGE_NODES}"),
+     f"--max-len {HUGE} would spell {SPELLED_HUGE} letters, more than {MAX_LANGUAGE_LETTERS}"),
     (["classify", "--source", "iet:{f}", "--depth", "998"],
-     "--depth is too large for this source: a sample of depth 1000 would take 1002001 language nodes, "
-     f"more than {MAX_LANGUAGE_NODES}"),
+     "--depth is too large for this source: a sample of depth 1000 would spell 668167500 letters, "
+     f"more than {MAX_LANGUAGE_LETTERS}"),
     (["extgraph", "--source", "iet:{f}", "--word", "a", "--depth", "1000"],
-     "--depth is too large for this source: a sample of depth 1000 would take 1002001 language nodes, "
-     f"more than {MAX_LANGUAGE_NODES}"),
-], ids=["traj", "check", "verify-keane", "language", "verify-max-len", "classify-iet", "extgraph-iet"])
+     "--depth is too large for this source: a sample of depth 1000 would spell 668167500 letters, "
+     f"more than {MAX_LANGUAGE_LETTERS}"),
+    (["iet", "language", str(DATA / "one_letter.iet"), "--max-len", "999999"],
+     f"--max-len 999999 would spell 499999500000 letters, more than {MAX_LANGUAGE_LETTERS}"),
+    (["verify", str(DATA / "one_letter.iet"), "--max-len", "999999"],
+     f"--max-len 999999 would spell 499999500000 letters, more than {MAX_LANGUAGE_LETTERS}"),
+    (["diet", "--composition", "1999999,2", "--pi", "ba", "--words"],
+     f"--composition 1999999,2 would take 2000001 orbit steps, more than {MAX_ORBIT_STEPS}"),
+    (["diet", "--composition", "1000000,1", "--pi", "ba", "--cylinder", "ab"],
+     f"--composition 1000000,1 would take 3000003 orbit steps, more than {MAX_ORBIT_STEPS}"),
+], ids=["traj", "check", "verify-keane", "language", "verify-max-len", "classify-iet", "extgraph-iet",
+        "language-one-letter", "verify-one-letter", "diet", "diet-cylinder"])
 def test_huge_work_is_refused_before_it_starts(monkeypatch, capsys, golden_file, argv, message):
     def no_work(*args, **kwargs):
         raise AssertionError("the request should have been refused before any work")

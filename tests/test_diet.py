@@ -14,7 +14,7 @@ from ietkit import (
     multiset_clustering_report,
     orbit_words,
 )
-from ietkit.cli import restricted_permutation
+from ietkit.verify import restricted_permutation
 
 AB = OrderedAlphabet("ab")
 ABC = OrderedAlphabet("abc")
