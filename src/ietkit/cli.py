@@ -32,11 +32,11 @@ from .extgraph import (
     sample_from_multiset,
     sample_from_periodic,
 )
-from .iet import Iet, IncompleteScanError
+from .iet import DEFAULT_KEANE_DEPTH, Iet, IncompleteScanError
 from .instance import parse_iet_file
 from .morphisms import Morphism
 from .rauzy import InductionCapError, induce_to_cylinder, rauzy_left, rauzy_right, step_morphism
-from .verify import DEFAULT_KEANE_DEPTH, KeaneCheckFailed, emit_report, verify_return_words
+from .verify import KeaneCheckFailed, emit_report, verify_return_words
 from .words import OrderedAlphabet, Permutation
 
 # Up-front work budgets of the commands that follow orbits, in orbit steps
@@ -100,16 +100,16 @@ def _write_json(path: str | None, payload: dict) -> None:
             handle.write(text)
 
 
-def _print_cluster_report(report: ClusteringReport, out) -> None:
-    out.write(f"transform: {report.transform}\n")
-    out.write(f"blocks: {' '.join(report.block_order)}\n")
+def _print_cluster_report(report: ClusteringReport) -> None:
+    print(f"transform: {report.transform}")
+    print(f"blocks: {' '.join(report.block_order)}")
     if report.is_clustering:
         perm = report.permutation.one_line_letters(report.support)
-        out.write(f"clustering: yes (permutation {perm} on support {report.support})\n")
-        out.write(f"perfect: {'yes' if report.is_perfect else 'no'}\n")
+        print(f"clustering: yes (permutation {perm} on support {report.support})")
+        print(f"perfect: {'yes' if report.is_perfect else 'no'}")
     else:
-        out.write("clustering: no\n")
-        out.write("perfect: no\n")
+        print("clustering: no")
+        print("perfect: no")
 
 
 def _parse_source(text: str, alphabet_text: str | None, max_len: int):
@@ -202,7 +202,7 @@ def _cmd_cluster(args) -> int:
     word = alphabet.require(args.word)
     report = clustering_report(word, alphabet)
     print(f"input: {word}")
-    _print_cluster_report(report, sys.stdout)
+    _print_cluster_report(report)
     _write_json(args.json, _cluster_payload(word, report))
     return 0
 
@@ -212,8 +212,10 @@ def _cmd_morphism_apply(args) -> int:
     for piece in args.spec.split(","):
         if ":" not in piece:
             raise ValueError(f"bad image {piece!r}, expected letter:word")
-        letter, _, image = piece.partition(":")
-        images[letter.strip()] = image.strip()
+        letter, _, image = (part.strip() for part in piece.partition(":"))
+        if letter in images:
+            raise ValueError(f"letter {letter!r} is given twice in --spec")
+        images[letter] = image
     source = OrderedAlphabet(args.alphabet) if args.alphabet else OrderedAlphabet(images.keys())
     target_letters = sorted(set("".join(images.values())) | set(source.letters))
     target = source if set(target_letters) == set(source.letters) else OrderedAlphabet(target_letters)

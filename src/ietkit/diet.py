@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .bwt import multiset_clustering_report
+from .bwt import multiset_clustering_report, multiset_parikh
 from .iet import Iet
 from .words import OrderedAlphabet, Permutation, is_primitive, lyndon_representative
 
@@ -153,10 +153,7 @@ def diet_from_multiset(
         )
     if report.support != alphabet:
         raise ValueError("every alphabet letter must occur in the multiset")
-    counts = dict.fromkeys(alphabet.letters, 0)
-    for w in entries:
-        for c in w:
-            counts[c] += 1
+    counts = multiset_parikh(entries, alphabet)
     return Diet(tuple(counts[c] for c in alphabet), permutation)
 
 

@@ -83,6 +83,17 @@ def _periodic_factors(w: str, max_len: int) -> set[str]:
     return out
 
 
+def _word_sample(
+    entries: Sequence[str], alphabet: OrderedAlphabet, max_len: int, source: str
+) -> LanguageSample:
+    """Union of the periodic languages of ``entries``, checked by the caller."""
+    _require_bounded(entries, max_len)
+    words: set[str] = set()
+    for w in entries:
+        words |= _periodic_factors(w, max_len)
+    return LanguageSample(words=frozenset(words), max_len=max_len, alphabet=alphabet, source=source)
+
+
 def sample_from_periodic(w: str, alphabet: OrderedAlphabet, max_len: int) -> LanguageSample:
     """Factors of the periodic infinite word with period ``w``."""
     if not w:
@@ -90,13 +101,7 @@ def sample_from_periodic(w: str, alphabet: OrderedAlphabet, max_len: int) -> Lan
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     alphabet.require(w)
-    _require_bounded((w,), max_len)
-    return LanguageSample(
-        words=frozenset(_periodic_factors(w, max_len)),
-        max_len=max_len,
-        alphabet=alphabet,
-        source=f"periodic:{w}",
-    )
+    return _word_sample((w,), alphabet, max_len, f"periodic:{w}")
 
 
 def sample_from_multiset(
@@ -107,17 +112,10 @@ def sample_from_multiset(
     if not entries:
         raise ValueError("a multiset language needs at least one word")
     for w in entries:
+        if not w:
+            raise ValueError("a multiset language needs nonempty words")
         alphabet.require(w)
-    _require_bounded(entries, max_len)
-    words: set[str] = set()
-    for w in entries:
-        words |= _periodic_factors(w, max_len)
-    return LanguageSample(
-        words=frozenset(words),
-        max_len=max_len,
-        alphabet=alphabet,
-        source="multiset:" + ",".join(entries),
-    )
+    return _word_sample(entries, alphabet, max_len, "multiset:" + ",".join(entries))
 
 
 def sample_from_iet(iet: Iet, max_len: int, label: str = "iet") -> LanguageSample:
@@ -224,11 +222,11 @@ def is_compatible(graph: ExtensionGraph, order1: Sequence[str], order2: Sequence
 
 
 def order_from_permutation(pi: Permutation, alphabet: OrderedAlphabet) -> tuple[str, ...]:
-    """Letters sorted so that x comes before y when pi^-1(x) < pi^-1(y)."""
+    """Letters sorted so that x comes before y when pi^-1(x) < pi^-1(y):
+    the image order of ``pi``."""
     if len(pi) != len(alphabet):
         raise ValueError("permutation size does not match alphabet size")
-    inv = pi.inverse()
-    return tuple(sorted(alphabet.letters, key=lambda c: inv(alphabet.rank(c))))
+    return tuple(pi.one_line_letters(alphabet))
 
 
 @dataclass(frozen=True)

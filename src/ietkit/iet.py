@@ -46,6 +46,9 @@ from math import lcm
 from .arith import QuadNum, _mismatch
 from .words import OrderedAlphabet, Permutation
 
+# The connection check's depth when none is given.
+DEFAULT_KEANE_DEPTH = 1000
+
 # Letters per block step of the orbit loops.  The block table has at most
 # (d - 1)K + 1 entries; at K = 32 it costs more to build than it saves.
 _K = 16
@@ -195,7 +198,7 @@ class Iet:
         # The boundaries [origin, cut_1, ..., end] of the domain and of the
         # image partition, and the translation of each piece.
         letters = alphabet.letters
-        self._image_letters = self.image_order_letters()
+        self._image_letters = tuple(permutation.one_line_letters(alphabet))
         self._bounds = self._partition(letters)
         self._image_bounds = self._partition(self._image_letters)
         img_left = dict(zip(self._image_letters, self._image_bounds))
@@ -250,8 +253,7 @@ class Iet:
         return self._domain
 
     def image_order_letters(self) -> tuple[str, ...]:
-        letters = self._alphabet.letters
-        return tuple(letters[self._perm(i)] for i in range(len(letters)))
+        return self._image_letters
 
     def interval(self, letter: str) -> Interval:
         """The domain piece of ``letter``."""
@@ -419,7 +421,7 @@ class Iet:
         """(D(T), D(T^-1)): interior division points of the domain and image partitions."""
         return tuple(self._bounds[1:-1]), tuple(self._image_bounds[1:-1])
 
-    def check_keane(self, depth: int = 1000) -> KeaneVerdict:
+    def check_keane(self, depth: int = DEFAULT_KEANE_DEPTH) -> KeaneVerdict:
         """Search for a connection by iterating each inverse-discontinuity forward.
 
         Exact equality tests only; finding nothing up to ``depth`` certifies
@@ -515,10 +517,11 @@ class Iet:
         cut at successive occurrences of ``w`` (overlaps included); the pieces
         between consecutive occurrence starts are the return words.  The scan
         stops once ``expected`` distinct words are found and raises
-        :class:`IncompleteScanError` if the horizon runs out first.
+        :class:`IncompleteScanError` if the horizon runs out first.  The
+        return words of the empty word are the letters.
         """
         if not w:
-            raise ValueError("return words need a nonempty word")
+            return frozenset(self._alphabet.letters)
         block = self.cylinder(w)
         if block.is_empty:
             raise ValueError(f"{w!r} is not in the language of this transformation")

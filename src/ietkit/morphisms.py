@@ -1,9 +1,10 @@
 """Substitution morphisms on free monoids.
 
-The two working horses map one letter to a two-letter word and fix the rest:
-``make_alpha(a, b)`` sends ``a -> ab`` and ``make_alpha_tilde(a, b)`` sends
-``a -> ba``.  Compositions of these, produced step by step during Rauzy
-induction, send letters to return words.
+``substitution(a, image, source, target)`` sends ``a`` to ``image`` and
+fixes every other letter.  The two working horses are its instances that
+map one letter to a two-letter word: ``make_alpha(a, b)`` sends ``a -> ab``
+and ``make_alpha_tilde(a, b)`` sends ``a -> ba``.  Compositions of these,
+produced step by step during Rauzy induction, send letters to return words.
 
 A morphism carries explicit source and target alphabets even when the letter
 sets coincide, because induction steps reorder alphabets and clustering is
@@ -58,14 +59,19 @@ def identity(alphabet: OrderedAlphabet) -> Morphism:
     return Morphism(alphabet, alphabet, {c: c for c in alphabet})
 
 
+def substitution(a: str, image: str, source: OrderedAlphabet, target: OrderedAlphabet) -> Morphism:
+    """a -> image, every other letter fixed."""
+    images = {c: c for c in source}
+    images[a] = image
+    return Morphism(source, target, images)
+
+
 def make_alpha(a: str, b: str, alphabet: OrderedAlphabet) -> Morphism:
     """a -> ab, every other letter fixed."""
     if a == b:
         raise ValueError("the two letters must differ")
     alphabet.rank(a), alphabet.rank(b)
-    images = {c: c for c in alphabet}
-    images[a] = a + b
-    return Morphism(alphabet, alphabet, images)
+    return substitution(a, a + b, alphabet, alphabet)
 
 
 def make_alpha_tilde(a: str, b: str, alphabet: OrderedAlphabet) -> Morphism:
@@ -73,9 +79,7 @@ def make_alpha_tilde(a: str, b: str, alphabet: OrderedAlphabet) -> Morphism:
     if a == b:
         raise ValueError("the two letters must differ")
     alphabet.rank(a), alphabet.rank(b)
-    images = {c: c for c in alphabet}
-    images[a] = b + a
-    return Morphism(alphabet, alphabet, images)
+    return substitution(a, b + a, alphabet, alphabet)
 
 
 def compose(f: Morphism, g: Morphism) -> Morphism:

@@ -7,24 +7,28 @@ left end.  Each step involves two letters of the transformation it acts on:
 * the *pivot*: the last alphabet letter (right step) or the first (left step);
 * the *partner*: the last letter in image order (right) or the first (left).
 
-Two cases arise, decided by comparing the pivot and partner lengths.  When
-the pivot piece is longer ("top_longer") the alphabet is unchanged, the
-pivot's length shrinks by the partner's, and in image order the partner
-letter moves next to the pivot.  When it is shorter ("top_shorter") the
-pivot letter is relocated in the alphabet next to the partner (after it for
-a right step, before it for a left step), the partner's length shrinks by
-the pivot's, and the image order is unchanged as a letter sequence.  Equal
-lengths mean a zero-connection and the step refuses.
+Comparing the two pieces gives the case: "top_longer" when the pivot piece
+is longer, "top_shorter" when it is shorter; equal lengths mean a
+zero-connection and the step refuses.  One rule then updates both cases:
+
+* the longer piece loses the shorter piece's length;
+* the shorter piece's letter moves next to the longer piece's letter, after
+  it for a right step and before it for a left step: in image order when
+  the partner is shorter, in alphabet order when the pivot is;
+* a left step also moves the origin right by the shorter length.
 
 The updated transformation is re-derived from first principles after every
 step: the first-return time and landing point of each new piece are checked
 exactly against the original dynamics, so a wrong update cannot survive.
 
-Each step contributes a two-letter substitution (pivot and partner), and the
-composition over a step sequence that shrinks the domain onto the cylinder
-of a word w maps letters to the return words of w.  The composition order
-puts the earliest step outermost; the morphism of a step is read off the
-transformation the step acts on (not the one it produces).
+Each step contributes one of the paper's substitutions (see
+:mod:`ietkit.morphisms`): ``alpha(partner, pivot)``, partner -> partner
+pivot, for top_longer, and ``alpha~(pivot, partner)``, pivot -> partner
+pivot, for top_shorter.  The composition over a step sequence that shrinks
+the domain onto the cylinder of a word w maps letters to the return words
+of w.  The composition order puts the earliest step outermost; the morphism
+of a step is read off the transformation the step acts on (not the one it
+produces).
 
 The step sequence onto a cylinder is a walk that takes, at each state, a
 step whose cut keeps the cylinder inside the domain.  Cylinders of a regular
@@ -45,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .iet import Iet, Interval
-from .morphisms import Morphism, compose, identity
+from .morphisms import Morphism, compose, identity, substitution
 from .words import OrderedAlphabet, Permutation
 
 RIGHT = "right"
@@ -82,8 +86,11 @@ class InductionTrace:
     theta: Morphism
 
 
-def _permutation_from_image_letters(seq: tuple[str, ...], alphabet: OrderedAlphabet) -> Permutation:
-    return Permutation(alphabet.rank(c) for c in seq)
+def _moved(seq: tuple[str, ...], x: str, y: str, after: bool) -> tuple[str, ...]:
+    """``seq`` with ``x`` taken out and put back just after (or before) ``y``."""
+    rest = [c for c in seq if c != x]
+    i = rest.index(y) + after
+    return tuple(rest[:i] + [x] + rest[i:])
 
 
 def _verify_induced(base: Iet, induced: Iet) -> None:
@@ -113,55 +120,28 @@ def _step(iet: Iet, kind: str) -> tuple[Iet, StepRecord]:
     if not iet.permutation.is_irreducible:
         raise ValueError("induction needs an irreducible permutation")
     image = iet.image_order_letters()
-    if kind == RIGHT:
-        pivot, partner = letters[-1], image[-1]
-    else:
-        pivot, partner = letters[0], image[0]
+    end = -1 if kind == RIGHT else 0
     # Irreducibility already rules out pivot == partner.
-    lp = iet.length(pivot)
-    lq = iet.length(partner)
+    pivot, partner = letters[end], image[end]
+    lp, lq = iet.length(pivot), iet.length(partner)
     if lp == lq:
         raise ZeroConnectionError(
             f"{kind} step undefined: pieces {pivot!r} and {partner!r} have equal length {lp}"
         )
 
+    case, longer, short = (TOP_LONGER, pivot, lq) if lp > lq else (TOP_SHORTER, partner, lp)
     lengths = iet.lengths
-    origin = iet.origin
-    if lp > lq:
-        case = TOP_LONGER
-        lengths[pivot] = lp - lq
-        new_letters = letters
-        seq = list(image[:-1]) if kind == RIGHT else list(image[1:])
-        if kind == RIGHT:
-            seq.insert(seq.index(pivot) + 1, partner)
-        else:
-            seq.insert(seq.index(pivot), partner)
-            origin = origin + lq
+    lengths[longer] -= short
+    after = kind == RIGHT
+    if case == TOP_LONGER:
+        image = _moved(image, partner, pivot, after)
     else:
-        case = TOP_SHORTER
-        lengths[partner] = lq - lp
-        base = [c for c in letters if c != pivot]
-        if kind == RIGHT:
-            base.insert(base.index(partner) + 1, pivot)
-        else:
-            base.insert(base.index(partner), pivot)
-            origin = origin + lp
-        new_letters = tuple(base)
-        seq = list(image)
-
-    post_alphabet = OrderedAlphabet(new_letters)
-    permutation = _permutation_from_image_letters(tuple(seq), post_alphabet)
-    induced = Iet(post_alphabet, permutation, lengths, origin)
+        letters = _moved(letters, pivot, partner, after)
+    origin = iet.origin if after else iet.origin + short
+    post_alphabet = OrderedAlphabet(letters)
+    induced = Iet(post_alphabet, Permutation(post_alphabet.rank(c) for c in image), lengths, origin)
     _verify_induced(iet, induced)
-    record = StepRecord(
-        kind=kind,
-        case=case,
-        pivot_letter=pivot,
-        partner_letter=partner,
-        pre_alphabet=alphabet,
-        post_alphabet=post_alphabet,
-    )
-    return induced, record
+    return induced, StepRecord(kind, case, pivot, partner, alphabet, post_alphabet)
 
 
 def rauzy_right(iet: Iet) -> tuple[Iet, StepRecord]:
@@ -177,17 +157,14 @@ def rauzy_left(iet: Iet) -> tuple[Iet, StepRecord]:
 def step_morphism(record: StepRecord) -> Morphism:
     """The substitution contributed by one step.
 
-    top_longer sends partner -> partner pivot, top_shorter sends
-    pivot -> partner pivot; all other letters are fixed.  The source is the
-    post-step alphabet and the target the pre-step alphabet, so the morphisms
-    of consecutive steps compose.
+    top_longer is ``alpha(partner, pivot)``, partner -> partner pivot, and
+    top_shorter is ``alpha~(pivot, partner)``, pivot -> partner pivot.  The
+    source is the post-step alphabet and the target the pre-step alphabet,
+    so the morphisms of consecutive steps compose.
     """
-    images = {c: c for c in record.pre_alphabet}
-    if record.case == TOP_LONGER:
-        images[record.partner_letter] = record.partner_letter + record.pivot_letter
-    else:
-        images[record.pivot_letter] = record.partner_letter + record.pivot_letter
-    return Morphism(record.post_alphabet, record.pre_alphabet, images)
+    a = record.partner_letter if record.case == TOP_LONGER else record.pivot_letter
+    image = record.partner_letter + record.pivot_letter
+    return substitution(a, image, record.post_alphabet, record.pre_alphabet)
 
 
 def _keeps(iet: Iet, kind: str, target: Interval) -> bool:

@@ -14,11 +14,9 @@ import json
 from dataclasses import dataclass
 
 from .bwt import clustering_report
-from .iet import Iet, IncompleteScanError
+from .iet import DEFAULT_KEANE_DEPTH, Iet, IncompleteScanError
 from .rauzy import InductionCapError, InductionTrace, induce_to_cylinder
 from .words import OrderedAlphabet, Permutation
-
-DEFAULT_KEANE_DEPTH = 1000
 
 
 class KeaneCheckFailed(RuntimeError):
@@ -70,9 +68,7 @@ def restricted_permutation(
 ) -> Permutation:
     """The pattern of ``pi`` on a sub-alphabet: its image order restricted
     to the support letters, read as a permutation of the support."""
-    image_letters = [alphabet.letters[pi(i)] for i in range(len(pi))]
-    kept = [c for c in image_letters if c in support]
-    return Permutation(support.rank(c) for c in kept)
+    return Permutation(support.rank(c) for c in pi.one_line_letters(alphabet) if c in support)
 
 
 def _instance_description(iet: Iet) -> str:
@@ -117,17 +113,13 @@ def verify_return_words(
     records: list[WordRecord] = []
     # A return word of several factors is checked once.
     checked: dict[str, ReturnWordCheck] = {}
-    # Traces of the previous and the current length.  Each walk resumes from
-    # its prefix's trace, except under ``trace``: the resumed final map names
-    # its letters differently, and the printed theta is keyed by letter.
-    prev: dict[str, InductionTrace] = {}
-    cur: dict[str, InductionTrace] = {}
-    length = 0
+    # Each walk resumes from its prefix's trace, except under ``trace``: the
+    # resumed final map names its letters differently, and the printed theta
+    # is keyed by letter.
+    traces: dict[str, InductionTrace] = {}
     for w in words:
-        if len(w) != length:
-            prev, cur, length = cur, {}, len(w)
         try:
-            start = None if trace else prev.get(w[:-1])
+            start = None if trace else traces.get(w[:-1])
             try:
                 trace_result = induce_to_cylinder(iet, w, cap=cap, start=start)
             except InductionCapError:
@@ -140,7 +132,7 @@ def verify_return_words(
             failures.append(Failure(w, None, None, f"induction failed: {exc}"))
             records.append(WordRecord(w, False, (), ()))
             continue
-        cur[w] = trace_result
+        traces[w] = trace_result
         images = tuple((c, trace_result.theta(c)) for c in trace_result.theta.source)
         induced = frozenset(u for _, u in images)
         try:

@@ -1,7 +1,9 @@
 """CLI commands: each transform computed once, classify depth checked, no
-partial output from `iet returns`."""
+partial output from `iet returns`, and the same return words of ε by every
+method."""
 
 import importlib
+import pathlib
 
 import pytest
 
@@ -93,6 +95,7 @@ def test_diet_names_a_bad_composition(capsys, composition):
         (["iet", "rauzy", "{file}", "--steps", "auto"], "--steps auto needs --word"),
         (["iet", "rauzy", "{file}", "--steps", "auto", "--word", "zz"], "symbol 'z' is not in alphabet abc"),
         (["diet", "--composition", "2,1", "--pi", "ba", "--cylinder", "x"], "symbol 'x' is not in alphabet ab"),
+        (["morphism", "apply", "--spec", "a:b,a:c", "a"], "letter 'a' is given twice in --spec"),
     ],
 )
 def test_refused_input_prints_only_its_error_line(capsys, golden_file, argv, message):
@@ -122,14 +125,25 @@ def test_a_word_source_too_deep_to_sample_names_depth(capsys, argv, spelled):
 
 
 @pytest.mark.parametrize("method", ["both", "induction", "scan"])
-def test_returns_prints_nothing_when_a_method_fails(capsys, golden_file, method):
-    """The induction accepts the empty word and the scan refuses it; the
-    command computes every requested method before it prints anything."""
+def test_returns_of_the_empty_word_agree_across_methods(capsys, golden_file, method):
+    """The return words of the empty word are the letters, by every method."""
     code = main(["iet", "returns", golden_file, "--word", "", "--method", method])
     captured = capsys.readouterr()
-    if method == "induction":
-        assert (code, captured.out) == (0, "induction returns: a b c\n")
-        return
+    lines = {
+        "both": "induction returns: a b c\nscan returns: a b c\nagreement: yes\n",
+        "induction": "induction returns: a b c\n",
+        "scan": "scan returns: a b c\n",
+    }
+    assert (code, captured.out, captured.err) == (0, lines[method], "")
+
+
+def test_returns_prints_nothing_when_a_method_fails(capsys):
+    """The scan runs out of horizon on cbccbc while the induction succeeds;
+    the command computes every requested method before it prints anything."""
+    sqrt2_4 = str(pathlib.Path(__file__).parent / "data" / "sqrt2_4.iet")
+    code = main(["iet", "returns", sqrt2_4, "--word", "cbccbc", "--method", "both"])
+    captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "error: return words need a nonempty word\n"
+    assert captured.err.startswith("error: horizon")
+    assert captured.err.count("\n") == 1
