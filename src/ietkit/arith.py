@@ -4,11 +4,13 @@ Every endpoint, length, and translation in this library is a
 :class:`QuadNum`, the value ``(p + q*sqrt(d)) / r`` with arbitrary-precision
 integers.  The representation is canonical (``r > 0``, ``gcd(p, q, r) == 1``,
 and ``q == 0`` whenever ``d <= 1``), so equality of values is equality of
-representations.  A comparison is one integer sign test on the
-cross-multiplied coordinates ``(p1 r2 - p2 r1) + (q1 r2 - q2 r1) sqrt(d)``
-(``p^2`` against ``q^2 d`` when the two parts differ in sign); no difference
-object is built.  Sums and differences are computed from the coordinates
-directly and canonicalized once.  Floating point is never consulted except by
+representations.  Every order decision, each comparison and
+:meth:`QuadNum.sign`, is one integer test, :func:`_lt`, of whether
+``a + b sqrt(d) < 0`` (``a^2`` against ``b^2 d`` when the parts differ in
+sign); a comparison applies it to the cross-multiplied coordinates
+``(p1 r2 - p2 r1) + (q1 r2 - q2 r1) sqrt(d)`` and builds no difference
+object.  Sums and differences are computed from the coordinates directly and
+canonicalized once.  Floating point is never consulted except by
 :meth:`QuadNum.__float__`, which exists for display and sanity checks only.
 
 A single radicand ``d`` is shared by all numbers of one instance.  Purely
@@ -26,24 +28,12 @@ from __future__ import annotations
 from math import gcd, isqrt
 
 
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _quad_sign(p: int, q: int, d: int) -> int:
-    """Exact sign of ``p + q*sqrt(d)``, by integer arithmetic only."""
-    if q == 0:
-        return _sign(p)
-    if p == 0:
-        return _sign(q)
-    if p > 0 and q > 0:
-        return 1
-    if p < 0 and q < 0:
-        return -1
-    # Opposite signs: compare p^2 against q^2 d.
-    if p > 0:
-        return _sign(p * p - q * q * d)
-    return _sign(q * q * d - p * p)
+def _lt(a: int, b: int, d: int) -> bool:
+    """Whether ``a + b*sqrt(d) < 0``, by integer arithmetic only (``b == 0``
+    whenever ``d == 0``)."""
+    if b >= 0:
+        return a < 0 and a * a > b * b * d
+    return a < 0 or a * a < b * b * d
 
 
 def _mismatch(d1: int, d2: int) -> ValueError:
@@ -141,39 +131,39 @@ class QuadNum:
     # -- comparison --------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign, by integer arithmetic only."""
-        return _quad_sign(self.p, self.q, self.d)
+        """Exact sign: negative by :func:`_lt`, zero exactly when both parts are."""
+        return -1 if _lt(self.p, self.q, self.d) else int(bool(self.p or self.q))
 
-    def _cmp(self, other) -> int:
-        """Sign of ``self - other`` from the cross-multiplied coordinates
-        ``(p1 r2 - p2 r1) + (q1 r2 - q2 r1) sqrt(d)``; no number is built."""
+    def _diff(self, other):
+        """``(a, b, d)`` with ``a + b sqrt(d)`` a positive multiple of ``self - other``,
+        read from the cross-multiplied coordinates; no number is built."""
         if isinstance(other, QuadNum):
             q1, q2 = self.q, other.q
             if other.d != self.d and q1 and q2:
                 raise _mismatch(self.d, other.d)
             r1, r2 = self.r, other.r
             if r1 == r2:
-                return _quad_sign(self.p - other.p, q1 - q2, self.d or other.d)
-            return _quad_sign(self.p * r2 - other.p * r1, q1 * r2 - q2 * r1, self.d or other.d)
+                return self.p - other.p, q1 - q2, self.d or other.d
+            return self.p * r2 - other.p * r1, q1 * r2 - q2 * r1, self.d or other.d
         if isinstance(other, int):
-            return _quad_sign(self.p - other * self.r, self.q, self.d)
+            return self.p - other * self.r, self.q, self.d
         return NotImplemented
 
     def __lt__(self, other):
-        c = self._cmp(other)
-        return c if c is NotImplemented else c < 0
+        c = self._diff(other)
+        return c if c is NotImplemented else _lt(*c)
 
     def __le__(self, other):
-        c = self._cmp(other)
-        return c if c is NotImplemented else c <= 0
+        c = self._diff(other)
+        return c if c is NotImplemented else not _lt(-c[0], -c[1], c[2])
 
     def __gt__(self, other):
-        c = self._cmp(other)
-        return c if c is NotImplemented else c > 0
+        c = self._diff(other)
+        return c if c is NotImplemented else _lt(-c[0], -c[1], c[2])
 
     def __ge__(self, other):
-        c = self._cmp(other)
-        return c if c is NotImplemented else c >= 0
+        c = self._diff(other)
+        return c if c is NotImplemented else not _lt(*c)
 
     def __eq__(self, other):
         if isinstance(other, QuadNum):

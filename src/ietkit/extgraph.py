@@ -86,7 +86,11 @@ def _periodic_factors(w: str, max_len: int) -> set[str]:
 def _word_sample(
     entries: Sequence[str], alphabet: OrderedAlphabet, max_len: int, source: str
 ) -> LanguageSample:
-    """Union of the periodic languages of ``entries``, checked by the caller."""
+    """Union of the periodic languages of the nonempty ``entries``."""
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
+    for w in entries:
+        alphabet.require(w)
     _require_bounded(entries, max_len)
     words: set[str] = set()
     for w in entries:
@@ -98,9 +102,6 @@ def sample_from_periodic(w: str, alphabet: OrderedAlphabet, max_len: int) -> Lan
     """Factors of the periodic infinite word with period ``w``."""
     if not w:
         raise ValueError("a periodic language needs a nonempty period")
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    alphabet.require(w)
     return _word_sample((w,), alphabet, max_len, f"periodic:{w}")
 
 
@@ -111,10 +112,8 @@ def sample_from_multiset(
     entries = tuple(entries)
     if not entries:
         raise ValueError("a multiset language needs at least one word")
-    for w in entries:
-        if not w:
-            raise ValueError("a multiset language needs nonempty words")
-        alphabet.require(w)
+    if not all(entries):
+        raise ValueError("a multiset language needs nonempty words")
     return _word_sample(entries, alphabet, max_len, "multiset:" + ",".join(entries))
 
 

@@ -13,11 +13,12 @@ language and cylinder refinement) run on one integer lattice instead: every
 bound and translation of an instance lies in ``(1/R)(Z + Z sqrt(d))`` for
 the lcm ``R`` of their denominators, and so does every orbit point of a
 point on it.  A point is then an integer pair ``(P, Q)`` that a step only
-adds to, an orbit hit is equality of pairs, and an order test is the exact
-integer sign test of ``a + b sqrt(d)``; nothing is rounded and no float is
-consulted, so the loops decide exactly what the QuadNum forms decide.  The
-Keane (no-connection) condition is only ever certified to a finite depth;
-nothing in this module claims full regularity.
+adds to, an orbit hit is equality of pairs, and an order test is
+:func:`ietkit.arith._lt`, the integer sign test of ``a + b sqrt(d)`` behind
+every QuadNum comparison; nothing is rounded and no float is consulted, so
+the loops decide exactly what the QuadNum forms decide.  The Keane
+(no-connection) condition is only ever certified to a finite depth; nothing
+in this module claims full regularity.
 
 Languages are enumerated by cylinder refinement, never by sampling
 trajectories: on a cylinder of the words of length k the k-th iterate is a
@@ -43,7 +44,7 @@ from collections.abc import Iterator, Mapping
 from itertools import islice
 from math import lcm
 
-from .arith import QuadNum, _mismatch
+from .arith import QuadNum, _lt, _mismatch
 from .words import OrderedAlphabet, Permutation
 
 # The connection check's depth when none is given.
@@ -52,14 +53,6 @@ DEFAULT_KEANE_DEPTH = 1000
 # Letters per block step of the orbit loops.  The block table has at most
 # (d - 1)K + 1 entries; at K = 32 it costs more to build than it saves.
 _K = 16
-
-
-def _lt(a: int, b: int, d: int) -> bool:
-    """Whether ``a + b*sqrt(d) < 0``, by integer arithmetic only (``b == 0``
-    whenever ``d == 0``)."""
-    if b >= 0:
-        return a < 0 and a * a > b * b * d
-    return a < 0 or a * a < b * b * d
 
 
 class CapExceededError(RuntimeError):

@@ -20,6 +20,9 @@ zero-connection and the step refuses.  One rule then updates both cases:
 The updated transformation is re-derived from first principles after every
 step: the first-return time and landing point of each new piece are checked
 exactly against the original dynamics, so a wrong update cannot survive.
+Both sides of the check are read off the partitions: a piece's orbit starts
+at its left end (pieces are left-closed) and must land at that end plus the
+piece's translation.
 
 Each step contributes one of the paper's substitutions (see
 :mod:`ietkit.morphisms`): ``alpha(partner, pivot)``, partner -> partner
@@ -104,9 +107,9 @@ def _verify_induced(base: Iet, induced: Iet) -> None:
     if not base.domain.contains_interval(sub):
         raise AssertionError("induced domain escapes the base domain")
     for c in induced.alphabet:
-        z = induced.interval(c).midpoint()
+        z = induced.interval(c).left
         landing, steps = base.first_return(sub, z, cap=4)
-        if steps > 2 or landing != induced.apply(z):
+        if steps > 2 or landing != z + induced.translation(c):
             raise AssertionError(
                 f"induced map disagrees with first return on piece {c!r}"
             )

@@ -115,9 +115,11 @@ def verify_return_words(
     checked: dict[str, ReturnWordCheck] = {}
     # Each walk resumes from its prefix's trace, except under ``trace``: the
     # resumed final map names its letters differently, and the printed theta
-    # is keyed by letter.
+    # is keyed by letter.  Only the traces of the previous length are kept.
     traces: dict[str, InductionTrace] = {}
     for w in words:
+        if len(next(iter(traces), w)) < len(w) - 1:
+            traces = {u: t for u, t in traces.items() if len(u) == len(w) - 1}
         try:
             start = None if trace else traces.get(w[:-1])
             try:

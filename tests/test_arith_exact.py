@@ -2,7 +2,8 @@
 
 sympy is the independent oracle: every element is rebuilt as
 ``(p + q*sqrt(d)) / r`` in sympy and the results of ``<``, ``<=``, ``==``,
-``sign()``, ``+``, ``-`` and ``*`` are compared with sympy's exact answers.
+``sign()``, ``+``, ``-`` and ``*`` are compared with sympy's exact answers,
+and so is the integer test ``_lt`` behind every order decision.
 """
 
 from math import gcd
@@ -15,7 +16,7 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ietkit import QuadNum  # noqa: E402
-from ietkit.arith import is_square_free  # noqa: E402
+from ietkit.arith import _lt, is_square_free  # noqa: E402
 
 RADICANDS = (2, 3, 5)
 
@@ -217,3 +218,35 @@ def test_square_free_matches_naive_oracle():
 )
 def test_square_free_large(n, expected):
     assert is_square_free(n) is expected
+
+
+@st.composite
+def lt_args(draw):
+    """``(a, b, d)`` for ``_lt``: zero parts, opposite signs with ``a^2``
+    within a few units of ``b^2 d``, and integers of up to 60 digits."""
+    d = draw(st.sampled_from((0,) + RADICANDS))
+    kind = draw(st.sampled_from(("random", "large", "zero_a", "zero_b", "near")))
+    if kind == "near" and d:
+        # h^2 - d k^2 = +-1 for a convergent h/k of sqrt(d); the offset moves
+        # a^2 a few units away from b^2 d on either side.
+        h, k = convergents(d, 41)[draw(st.integers(0, 40))]
+        s = draw(st.sampled_from((1, -1)))
+        a, b = s * (h + draw(st.integers(-2, 2))), -s * k
+    else:
+        coeff = st.integers(-10**60, 10**60) if kind == "large" else COEFF
+        a = 0 if kind == "zero_a" else draw(coeff)
+        b = 0 if kind == "zero_b" else draw(coeff)
+    return a, b if d else 0, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(lt_args())
+def test_lt_agrees_with_sympy(args):
+    a, b, d = args
+    assert _lt(a, b, d) == (oracle_sign(sympy.Integer(a) + sympy.Integer(b) * sympy.sqrt(d)) < 0)
+
+
+@pytest.mark.parametrize("d", (0,) + RADICANDS)
+def test_sign_of_zero_is_zero(d):
+    for zero in (QuadNum(0, 0, 1, d), QuadNum(0, 0, 7, d), QuadNum(3, 0, 1, d) - QuadNum(6, 0, 2, d)):
+        assert zero.sign() == 0

@@ -222,3 +222,21 @@ class TestSampleBound:
     def test_a_foreign_symbol_is_named_first(self):
         with pytest.raises(ValueError, match="symbol 'x'"):
             sample_from_multiset(["ab", "x"], AB, 10**6)
+
+    # Both sources refuse a depth below 1; a periodic source names an empty
+    # period first and a foreign symbol last.
+    @pytest.mark.parametrize(
+        "build, max_len, message",
+        [
+            (lambda n: sample_from_periodic("ab", AB, n), 0, "max_len must be at least 1"),
+            (lambda n: sample_from_periodic("ab", AB, n), -3, "max_len must be at least 1"),
+            (lambda n: sample_from_multiset(["ab"], AB, n), 0, "max_len must be at least 1"),
+            (lambda n: sample_from_multiset(["ab"], AB, n), -3, "max_len must be at least 1"),
+            (lambda n: sample_from_periodic("", AB, n), 0, "nonempty period"),
+            (lambda n: sample_from_periodic("x", AB, n), 0, "max_len must be at least 1"),
+        ],
+        ids=["periodic-0", "periodic-3", "multiset-0", "multiset-3", "empty-period", "foreign-symbol"],
+    )
+    def test_depth_below_one_is_refused(self, build, max_len, message):
+        with pytest.raises(ValueError, match=message):
+            build(max_len)

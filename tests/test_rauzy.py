@@ -1,3 +1,6 @@
+import itertools
+import pathlib
+
 import pytest
 
 from ietkit import (
@@ -14,7 +17,8 @@ from ietkit import (
     return_words_induction,
     step_morphism,
 )
-from ietkit.rauzy import InductionCapError, LEFT, RIGHT, TOP_LONGER, TOP_SHORTER
+from ietkit.instance import parse_iet_file
+from ietkit.rauzy import InductionCapError, LEFT, RIGHT, TOP_LONGER, TOP_SHORTER, _step, _verify_induced
 
 
 def q(p, q_=0, r=1):
@@ -219,3 +223,32 @@ class TestReturnWords:
                 assert occurrences == [0, len(u)]
                 if len(full) <= 14:
                     assert full in sample
+
+
+def wrong_maps(induced):
+    """Every other image order on the same pieces, then every move of 1/1000
+    of a piece's length to an alphabet neighbour."""
+    alphabet, lengths = induced.alphabet, induced.lengths
+    right = induced.image_order_letters()
+    for image in itertools.permutations(alphabet.letters):
+        if image != right:
+            yield Iet(alphabet, Permutation(alphabet.rank(c) for c in image), lengths, induced.origin)
+    for a, b in itertools.pairwise(alphabet.letters):
+        for grow, shrink in ((a, b), (b, a)):
+            moved = dict(lengths)
+            eps = moved[shrink] * QuadNum(1, 0, 1000)
+            moved[grow] += eps
+            moved[shrink] -= eps
+            yield Iet(alphabet, induced.permutation, moved, induced.origin)
+
+
+@pytest.mark.parametrize("kind", [RIGHT, LEFT])
+def test_step_check_rejects_every_wrong_map(kind):
+    base = parse_iet_file(str(pathlib.Path(__file__).parent / "data" / "sqrt2_4.iet"))
+    induced, _ = _step(base, kind)
+    _verify_induced(base, induced)
+    wrong = list(wrong_maps(induced))
+    assert len(wrong) == 23 + 6
+    for iet in wrong:
+        with pytest.raises(AssertionError, match="disagrees with first return"):
+            _verify_induced(base, iet)
