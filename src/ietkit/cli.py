@@ -367,6 +367,7 @@ def _cmd_extgraph(args) -> int:
     word = _word_arg(args.word)
     graph = extension_graph(sample, word)
     order1, order2 = _orders_for(sample, entries, source_pi, args.orders)
+    compatible = is_compatible(graph, order1, order2)  # raises, before any output, on an unranked vertex
     print(f"source: {sample.source}")
     print(f"word: {word or 'ε'}")
     print(f"left ({' < '.join(order1)}): {' '.join(c for c in order1 if c in graph.left)}")
@@ -375,7 +376,7 @@ def _cmd_extgraph(args) -> int:
     print("edges: " + " ".join(f"({a},{b})" for a, b in shown))
     print(f"tree: {'yes' if is_tree(graph) else 'no'}")
     print(f"forest: {'yes' if is_forest(graph) else 'no'}")
-    print(f"compatible: {'yes' if is_compatible(graph, order1, order2) else 'no'}")
+    print(f"compatible: {'yes' if compatible else 'no'}")
     if args.layout:
         by_left: dict[str, list[str]] = {}
         for a, b in graph.edges:

@@ -24,11 +24,26 @@ compatible, since one edge cannot cross itself and both its ends are ranked.
 Such a word fails no flag and raises nothing, so only the remaining
 (special) words get an extension graph, and the verdicts, witnesses and
 errors are those of checking every word.
+
+A sample marked ``bi_infinite`` holds every factor, up to its depth, of a set
+of two-sided infinite words; the word sources and ``sample_from_iet`` mark
+theirs (an interval exchange is a bijection, so its words extend on both
+sides).  In such a language every suffix of a right-special word is
+right-special and every prefix of a left-special word is left-special, and a
+word v with one left letter a and one right letter b has avb in it.  So once
+a length has no special word, no longer word is special, and each one has a
+single edge whose letters are those of its prefix and suffix of that length,
+already ranked: ``classify`` stops there, with every word up to its depth
+still decided.  Every symbol of such a sample is a one-letter word, so
+foreign symbols are looked for at lengths 0 and 1 only.  A sample built by
+hand gets every length checked.  An aperiodic exchange has a special factor
+at every length, so its samples never stop early; periodic words stop past
+their last special factor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 
 from .iet import Iet
@@ -37,12 +52,21 @@ from .words import OrderedAlphabet, Permutation
 
 @dataclass(frozen=True)
 class LanguageSample:
-    """All factors of a language up to ``max_len``, with their alphabet."""
+    """All factors of a language up to ``max_len``, with their alphabet.
+
+    ``bi_infinite`` says that the words are every factor, up to ``max_len``,
+    of a set of two-sided infinite words, so that ``classify`` may stop at
+    the first length with no special word.  The word sources and
+    ``sample_from_iet`` set it; a sample built by hand leaves it ``False``
+    and gets every length checked.  It is a claim about ``words``, not part
+    of the sample's value, so equality ignores it.
+    """
 
     words: frozenset[str]
     max_len: int
     alphabet: OrderedAlphabet
     source: str
+    bi_infinite: bool = field(default=False, compare=False)
 
     def __contains__(self, w: object) -> bool:
         return w in self.words
@@ -95,7 +119,9 @@ def _word_sample(
     words: set[str] = set()
     for w in entries:
         words |= _periodic_factors(w, max_len)
-    return LanguageSample(words=frozenset(words), max_len=max_len, alphabet=alphabet, source=source)
+    return LanguageSample(
+        words=frozenset(words), max_len=max_len, alphabet=alphabet, source=source, bi_infinite=True
+    )
 
 
 def sample_from_periodic(w: str, alphabet: OrderedAlphabet, max_len: int) -> LanguageSample:
@@ -119,11 +145,14 @@ def sample_from_multiset(
 
 def sample_from_iet(iet: Iet, max_len: int, label: str = "iet") -> LanguageSample:
     """Factors of an interval exchange, by exact cylinder refinement."""
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
     return LanguageSample(
         words=frozenset(iet.language(max_len)),
         max_len=max_len,
         alphabet=iet.alphabet,
         source=label,
+        bi_infinite=True,
     )
 
 
@@ -251,10 +280,12 @@ def classify(
     One pass per length k (see the module docstring): the words of length
     k + 1 give each word of length k its single left and right letter, the
     words whose extension graph is then one ranked edge pass every check,
-    and the rest get an extension graph each, in alphabet order.  Witnesses
-    are the first failing words in (length, alphabet) order, and a foreign
-    symbol or an order that lacks a vertex raises as checking every word in
-    that order would.
+    and the rest get an extension graph each, in alphabet order.  On a
+    ``bi_infinite`` sample the passes stop at the first length with no
+    special word, since no longer word is special.  Witnesses are the first
+    failing words in (length, alphabet) order, and a foreign symbol or an
+    order that lacks a vertex raises as checking every word in that order
+    would.
     """
     if up_to < 0:
         raise ValueError(f"classification depth must be nonnegative, got {up_to}")
@@ -270,7 +301,9 @@ def classify(
     for w in words:
         if len(w) <= up_to + 1:
             by_length[len(w)].append(w)
-    if not all(letters.issuperset("".join(bucket)) for bucket in by_length[: up_to + 1]):
+    # Every symbol of a bi-infinite sample is a one-letter word.
+    scanned = by_length[: min(up_to, 1) + 1] if sample.bi_infinite else by_length[: up_to + 1]
+    if not all(letters.issuperset("".join(bucket)) for bucket in scanned):
         for w in words:  # name the symbol that sorting the words by key meets first
             if len(w) <= up_to:
                 alphabet.key(w)
@@ -294,6 +327,8 @@ def classify(
             a, b = left.get(v), right.get(v)
             if not (a and b and a in rank1 and b in rank2 and a + v + b in words):
                 special.append(v)
+        if not special and sample.bi_infinite:
+            break
         for v in sorted(special, key=alphabet.key):
             graph = extension_graph(sample, v)
             forest, tree = _forest_and_tree(graph)

@@ -1,6 +1,8 @@
 """The per-length ``classify`` against the direct check of every word, kept
-here as the oracle, and the number of extension graphs it builds."""
+here as the oracle, the number of extension graphs it builds, and where it
+stops on samples of two-sided infinite words."""
 
+import dataclasses
 import functools
 import importlib
 import itertools
@@ -296,3 +298,131 @@ def test_two_letters_give_at_least_one_extension_graph(case):
     # The empty word has two left letters as soon as there are two letters.
     if len(letters) >= 2:
         assert "" in calls
+
+
+# -- the stop at the first length with no special word ---------------------------------
+
+
+@st.composite
+def long_word_sources(draw):
+    """A periodic or multiset sample of up to 40 period letters at a depth up
+    to 45, a classification depth and orders."""
+    alphabet = OrderedAlphabet(draw(st.sampled_from(ORDERS)))
+    used = draw(st.lists(st.sampled_from(alphabet.letters), min_size=1, max_size=4, unique=True))
+    count = draw(st.integers(1, 3))
+    sizes = [draw(st.integers(1, 40 // count)) for _ in range(count)]
+    entries = [draw(st.text(alphabet=used, min_size=n, max_size=n)) for n in sizes]
+    max_len = draw(st.integers(2, 45))
+    if count == 1:
+        sample = sample_from_periodic(entries[0], alphabet, max_len)
+    else:
+        sample = sample_from_multiset(entries, alphabet, max_len)
+    # Mostly the full depth, as the command line asks for.
+    up_to = max_len - 2 - draw(st.integers(0, max_len - 2))
+    return sample, *draw(orders_over(alphabet.letters)), up_to
+
+
+def assert_stop_changes_nothing(sample, order1, order2, up_to):
+    assert sample.bi_infinite
+    unmarked = dataclasses.replace(sample, bi_infinite=False)
+    stopped = outcome(classify, sample, order1, order2, up_to)
+    assert stopped == outcome(oracle_classify, sample, order1, order2, up_to)
+    assert stopped == outcome(classify, unmarked, order1, order2, up_to)
+
+
+@settings(max_examples=150, deadline=None)
+@given(long_word_sources())
+def test_word_sources_stop_with_the_report_of_every_length(case):
+    assert_stop_changes_nothing(*case)
+
+
+@functools.cache
+def deep_iet_sample(name):
+    return sample_from_iet(parse_iet_file(str(DATA / name)), 12, label=name)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(("golden.iet", "sqrt2_4.iet")), st.data())
+def test_iet_samples_stop_with_the_report_of_every_length(name, data):
+    sample = deep_iet_sample(name)
+    order1, order2 = data.draw(orders_over(sample.alphabet.letters))
+    assert_stop_changes_nothing(sample, order1, order2, data.draw(st.integers(0, 10)))
+
+
+class LookedUpWords(frozenset):
+    """A word set that records the length of every word looked up in it."""
+
+    def __new__(cls, words):
+        self = super().__new__(cls, words)
+        self.lengths = []
+        return self
+
+    def __contains__(self, w):
+        self.lengths.append(len(w))
+        return super().__contains__(w)
+
+
+def first_length_without_special_word(sample):
+    letters = sample.alphabet.letters
+    for k in range(sample.max_len):
+        level = [v for v in sample.words if len(v) == k]
+        if all(
+            sum(a + v in sample.words for a in letters) == 1 and sum(v + b in sample.words for b in letters) == 1
+            for v in level
+        ):
+            return k
+    return None
+
+
+def test_a_long_periodic_word_stops_past_its_last_special_word(monkeypatch):
+    # The word of test_a_long_periodic_word_builds_few_extension_graphs.
+    rng = random.Random(120)
+    w = "".join(rng.choice("abcd") for _ in range(120))
+    alphabet = OrderedAlphabet("abcd")
+    sample = sample_from_periodic(w, alphabet, 122)
+    stop = first_length_without_special_word(sample)
+    assert stop == 10
+    looked_up = LookedUpWords(sample.words)
+    calls = count_extension_graphs(monkeypatch)
+    report = classify(dataclasses.replace(sample, words=looked_up), "dcba", alphabet.letters, 120)
+    # The pass at the stop length looks up avb for each of its words, and no
+    # later pass runs: checking every length would look up words of length 122.
+    assert max(looked_up.lengths) == stop + 2
+    stopped_calls = calls[:]
+    calls.clear()
+    assert classify(dataclasses.replace(sample, bi_infinite=False), "dcba", alphabet.letters, 120) == report
+    assert calls == stopped_calls
+    assert all(len(v) < stop for v in calls)
+
+
+def test_a_hand_built_sample_gets_every_length():
+    # Not factor-closed: aa and bb are missing, so a and b each have one
+    # left and one right letter, yet ab has the four edges of a cycle.
+    words = {"", "a", "b", "ab", "ba", "aba", "bab", "aab", "abb", "aaba", "aabb", "baba", "babb"}
+    sample = LanguageSample(words=frozenset(words), max_len=4, alphabet=AB, source="hand")
+    assert not sample.bi_infinite
+    report = classify(sample, "ab", "ba", 2)
+    assert report.witnesses == {"dendric": "", "ordered_dendric": "", "alsinic": "ab", "ordered_alsinic": "ab"}
+    assert_same(sample, "ab", "ba", 2)
+    # The marker is a promise about the words, not a check: on this sample it
+    # would stop at length 1 and miss the cycle.
+    marked = classify(dataclasses.replace(sample, bi_infinite=True), "ab", "ba", 2)
+    assert marked.alsinic and marked.witnesses == {"dendric": "", "ordered_dendric": ""}
+
+
+def test_a_foreign_symbol_of_a_bi_infinite_sample_is_found_among_its_letters():
+    # The factors of the two-sided word ...axax... over the alphabet ab: only
+    # the one-letter words are scanned for x, which the empty word's graph skips.
+    words = frozenset({"", "a", "x", "ax", "xa", "axa", "xax"})
+    sample = LanguageSample(words=words, max_len=3, alphabet=AB, source="ax", bi_infinite=True)
+    with pytest.raises(ValueError, match=r"^symbol 'x' is not in alphabet ab$"):
+        classify(sample, "ab", "ab", 1)
+    assert_stop_changes_nothing(sample, "ab", "ab", 0)
+    assert_stop_changes_nothing(sample, "ab", "ab", 1)
+
+
+def test_the_marker_is_no_part_of_a_samples_value():
+    periodic = sample_from_periodic("aab", AB, 4)
+    hand = LanguageSample(words=periodic.words, max_len=4, alphabet=AB, source=periodic.source)
+    assert periodic.bi_infinite and not hand.bi_infinite
+    assert hand == periodic

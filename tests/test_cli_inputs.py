@@ -222,3 +222,16 @@ def test_irrational_point_on_a_rational_instance_is_refused(tmp_path, capsys):
     assert captured.err == "error: bad number literal '(1, 3, 2)': irrational part with no radicand d\n"
     assert main(["iet", "traj", str(path), "--point", "(1, 0, 2)", "--steps", "6"]) == 0
     assert capsys.readouterr().out == "babbab\n"
+
+
+@pytest.mark.parametrize("orders, message", [
+    ("ab:abc", "left vertex 'c' missing from the first order"),
+    ("abc:ab", "right vertex 'c' missing from the second order"),
+], ids=["left", "right"])
+def test_extgraph_order_without_a_vertex_prints_nothing(capsys, orders, message):
+    """In aabcb the letter b has left letters a, c and right letters a, c; an
+    order that lacks c is refused before any line of the graph is printed."""
+    assert main(["extgraph", "--source", "periodic:aabcb", "--word", "b", "--orders", orders]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

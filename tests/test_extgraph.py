@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 
 import pytest
 
@@ -17,9 +18,11 @@ from ietkit import (
     sample_from_multiset,
     sample_from_periodic,
 )
+from ietkit.instance import parse_iet_file
 
 AB = OrderedAlphabet("ab")
 ABC = OrderedAlphabet("abc")
+GOLDEN = str(pathlib.Path(__file__).parent / "data" / "golden.iet")
 
 
 @pytest.fixture(scope="module")
@@ -223,7 +226,7 @@ class TestSampleBound:
         with pytest.raises(ValueError, match="symbol 'x'"):
             sample_from_multiset(["ab", "x"], AB, 10**6)
 
-    # Both sources refuse a depth below 1; a periodic source names an empty
+    # Every source refuses a depth below 1; a periodic source names an empty
     # period first and a foreign symbol last.
     @pytest.mark.parametrize(
         "build, max_len, message",
@@ -234,8 +237,11 @@ class TestSampleBound:
             (lambda n: sample_from_multiset(["ab"], AB, n), -3, "max_len must be at least 1"),
             (lambda n: sample_from_periodic("", AB, n), 0, "nonempty period"),
             (lambda n: sample_from_periodic("x", AB, n), 0, "max_len must be at least 1"),
+            (lambda n: sample_from_iet(parse_iet_file(GOLDEN), n), 0, "^max_len must be at least 1$"),
+            (lambda n: sample_from_iet(parse_iet_file(GOLDEN), n), -3, "^max_len must be at least 1$"),
         ],
-        ids=["periodic-0", "periodic-3", "multiset-0", "multiset-3", "empty-period", "foreign-symbol"],
+        ids=["periodic-0", "periodic-3", "multiset-0", "multiset-3", "empty-period", "foreign-symbol",
+             "iet-0", "iet-3"],
     )
     def test_depth_below_one_is_refused(self, build, max_len, message):
         with pytest.raises(ValueError, match=message):
