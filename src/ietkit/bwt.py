@@ -10,18 +10,25 @@ contiguous block per letter; the block order then defines a permutation of
 the support alphabet, and the word is perfectly clustering when that
 permutation is order-reversing.
 
-Both transforms share one rotation sort by prefix doubling: each round
-ranks every cyclic position by its first 2m letters, packing the ranks of
-its first m letters and of the m letters after them into one integer, so
-a transform of n letters takes O(n log^2 n) time and O(n) memory.
+Both transforms share one rotation sort that multiplies the compared
+prefix by T each round: the key of a cyclic position is its own rank and
+the ranks of the positions k, 2k, ..., (T-1)k letters after it, read as
+one string, so a transform of n letters takes O(log_T n) rounds of
+O(n log n) string comparisons and O(T n) memory.  Ranks are code points,
+so a transform takes at most MAX_TRANSFORM_LETTERS letters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from .words import OrderedAlphabet, Permutation, is_lyndon, lyndon_representative, parikh
+
+# A rotation sort round multiplies the compared prefix length by _T.
+_T = 16
+# Digits are code points, so the sort ranks at most this many positions.
+MAX_TRANSFORM_LETTERS = 0x10FFFF
 
 
 @dataclass(frozen=True)
@@ -48,42 +55,52 @@ def _rotation_sort(entries: tuple[str, ...], alphabet: OrderedAlphabet, span: in
     infinite periodic words they start, compared on their first ``span``
     letters.
 
-    A round replaces the rank of each position's first k letters by the
-    rank of its first 2k: the pair (its own rank, the rank of the position
-    k letters further on in the same entry) packed into one integer.  Rounds stop once every rank
-    is distinct or k reaches ``span``; positions still tied then start the
-    same rotation, so they carry the same last letter.
+    Each position carries one digit, a character whose code point is the
+    rank of its first k letters: its alphabet rank when k is 1.  A round
+    keys each position by the digits of the T positions k letters apart
+    from it in the same entry, an extended slice of the entry's digits
+    repeated, which ranks its first T*k letters.  Rounds stop once every
+    key is distinct or the keys rank ``span`` letters; positions still tied
+    then start the same rotation, so they carry the same last letter.
     """
-    ranks: list[int] = []
-    for w in entries:
-        ranks += alphabet.key(w)
-    n = len(ranks)
-    # Ranks are alphabet ranks in the first round and below n afterwards.
-    base = max(n, len(alphabet))
-    distinct = len(set(ranks))
+    table = {ord(c): r for r, c in enumerate(alphabet.letters)}
+    digits = "".join(w.translate(table) for w in entries)
+    keys: Sequence[str] = digits
+    unique = set(keys)
+    n = len(keys)
     k = 1
-    while k < span and distinct < n:
-        shifted: list[int] = []
+    while k < span and len(unique) < n:
+        if k > 1:
+            rank = dict(zip(sorted(unique), map(chr, range(len(unique)))))
+            digits = "".join(map(rank.__getitem__, keys))
+        keys = []
         start = 0
         for w in entries:
-            end = start + len(w)
-            cut = start + k % len(w)
-            shifted += ranks[cut:end]
-            shifted += ranks[start:cut]
-            start = end
-        keys = [a * base + b for a, b in zip(ranks, shifted)]
-        dense = {key: r for r, key in enumerate(sorted(set(keys)))}
-        ranks = [dense[key] for key in keys]
-        distinct = len(dense)
-        k *= 2
+            m = len(w)
+            step = (k - 1) % m + 1  # k letters further on, cyclically
+            ext = digits[start : start + m] * -(-(m + (_T - 1) * step) // m)
+            keys += [ext[i : i + _T * step : step] for i in range(m)]
+            start += m
+        unique = set(keys)
+        k *= _T
     last = "".join(w[-1] + w[:-1] for w in entries)
-    return "".join([last[p] for p in sorted(range(n), key=ranks.__getitem__)])
+    return "".join([last[p] for p in sorted(range(n), key=keys.__getitem__)])
+
+
+def _require_size(letters: int) -> None:
+    """Refuse, before any work, more letters than the digits can rank."""
+    if letters > MAX_TRANSFORM_LETTERS:
+        raise ValueError(
+            f"a transform of {letters} letters is over the bound of {MAX_TRANSFORM_LETTERS} letters"
+        )
 
 
 def bwt(w: str, alphabet: OrderedAlphabet) -> str:
     """Last letters of the lexicographically sorted rotations of ``w``."""
     if not w:
         raise ValueError("cannot transform the empty word")
+    _require_size(len(w))
+    alphabet.require(w)
     return _rotation_sort((w,), alphabet, len(w))
 
 
@@ -103,6 +120,7 @@ def ebwt(entries: Iterable[str], alphabet: OrderedAlphabet) -> str:
     infinite powers are identical strings, so ties cannot change the output.
     """
     entries = tuple(entries)
+    _require_size(sum(map(len, entries)))
     _require_lyndon_entries(entries, alphabet)
     # Two distinct powers u^w and v^w differ within |u| + |v| letters, so
     # prefixes of twice the longest entry decide the omega-order exactly.

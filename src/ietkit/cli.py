@@ -173,11 +173,9 @@ def _orders_for(sample: LanguageSample, entries, source_pi, spec: str):
 
 
 def _cmd_bwt(args) -> int:
-    alphabet = args.alphabet
-    word = alphabet.require(args.word)
-    report = clustering_report(word, alphabet)
+    report = clustering_report(args.word, args.alphabet)
     print(f"transform: {report.transform}")
-    _write_json(args.json, _cluster_payload(word, report))
+    _write_json(args.json, _cluster_payload(args.word, report))
     return 0
 
 
@@ -198,12 +196,10 @@ def _cmd_ebwt_inverse(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    alphabet = args.alphabet
-    word = alphabet.require(args.word)
-    report = clustering_report(word, alphabet)
-    print(f"input: {word}")
+    report = clustering_report(args.word, args.alphabet)
+    print(f"input: {args.word}")
     _print_cluster_report(report)
-    _write_json(args.json, _cluster_payload(word, report))
+    _write_json(args.json, _cluster_payload(args.word, report))
     return 0
 
 

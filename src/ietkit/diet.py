@@ -16,6 +16,7 @@ the left-closed piece of the matching interval exchange.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 
 from .bwt import multiset_clustering_report, multiset_parikh
@@ -71,10 +72,7 @@ class Diet:
         """0-based block index of the integer k (1 <= k <= n, right-closed blocks)."""
         if not 1 <= k <= self._n:
             raise ValueError(f"{k} is outside 1..{self._n}")
-        for i in range(len(self._composition)):
-            if k <= self._starts[i + 1]:
-                return i
-        raise AssertionError("unreachable")
+        return bisect_left(self._starts, k) - 1
 
     def apply(self, k: int) -> int:
         return k + self._shifts[self.block_of(k)]
@@ -97,6 +95,7 @@ def orbit_words(diet: Diet, alphabet: OrderedAlphabet) -> tuple[str, ...]:
     if len(alphabet) != len(diet.composition):
         raise ValueError("alphabet size does not match the number of parts")
     letters = alphabet.letters
+    block_of, shifts = diet.block_of, diet.shifts
     seen = [False] * (diet.n + 1)
     words = []
     for start in range(1, diet.n + 1):
@@ -106,8 +105,9 @@ def orbit_words(diet: Diet, alphabet: OrderedAlphabet) -> tuple[str, ...]:
         spelled = []
         while not seen[k]:
             seen[k] = True
-            spelled.append(letters[diet.block_of(k)])
-            k = diet.apply(k)
+            i = block_of(k)
+            spelled.append(letters[i])
+            k += shifts[i]
         word = "".join(spelled)
         if not is_primitive(word):
             raise AssertionError(f"orbit word {word!r} is not primitive")

@@ -23,7 +23,8 @@ and b in the second has a one-edge extension graph: a tree, so a forest, and
 compatible, since one edge cannot cross itself and both its ends are ranked.
 Such a word fails no flag and raises nothing, so only the remaining
 (special) words get an extension graph, and the verdicts, witnesses and
-errors are those of checking every word.
+missing-vertex errors are those of checking every word.  A foreign symbol is
+named as the least one by code point, whatever the hash order of the sample.
 
 A sample marked ``bi_infinite`` holds every factor, up to its depth, of a set
 of two-sided infinite words; the word sources and ``sample_from_iet`` mark
@@ -283,7 +284,8 @@ def classify(
     and the rest get an extension graph each, in alphabet order.  On a
     ``bi_infinite`` sample the passes stop at the first length with no
     special word, since no longer word is special.  Witnesses are the first
-    failing words in (length, alphabet) order, and a foreign symbol or an
+    failing words in (length, alphabet) order.  A foreign symbol in a word
+    checked raises, naming the least such symbol by code point, and an
     order that lacks a vertex raises as checking every word in that order
     would.
     """
@@ -303,10 +305,9 @@ def classify(
             by_length[len(w)].append(w)
     # Every symbol of a bi-infinite sample is a one-letter word.
     scanned = by_length[: min(up_to, 1) + 1] if sample.bi_infinite else by_length[: up_to + 1]
-    if not all(letters.issuperset("".join(bucket)) for bucket in scanned):
-        for w in words:  # name the symbol that sorting the words by key meets first
-            if len(w) <= up_to:
-                alphabet.key(w)
+    foreign = set().union(*map("".join, scanned)) - letters
+    if foreign:
+        raise ValueError(f"symbol {min(foreign)!r} is not in alphabet {alphabet}")
     rank1, rank2 = _ranks(order1), _ranks(order2)
     flags = dict.fromkeys(("dendric", "alsinic", "ordered_dendric", "ordered_alsinic"), True)
     witnesses: dict[str, str] = {}

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import pytest
@@ -15,6 +16,9 @@ from ietkit import (
     multiset_clustering_report,
     parikh,
 )
+from ietkit.bwt import MAX_TRANSFORM_LETTERS
+
+bwt_module = importlib.import_module("ietkit.bwt")
 
 AB = OrderedAlphabet("ab")
 ABC = OrderedAlphabet("abc")
@@ -200,3 +204,33 @@ class TestMultisetClustering:
             rep = clustering_report(w, AB)
             assert rep.is_clustering and rep.permutation == swap
         assert not multiset_clustering_report(["ab", "aab"], AB).is_clustering
+
+
+# One letter over the bound, as one word and as a multiset of two-letter entries.
+OVER = MAX_TRANSFORM_LETTERS + 1
+OVER_MESSAGE = f"^a transform of {OVER} letters is over the bound of {MAX_TRANSFORM_LETTERS} letters$"
+
+
+@pytest.mark.parametrize(
+    "transform, argument",
+    [
+        (bwt, "ab" * (OVER // 2)),
+        (clustering_report, "ab" * (OVER // 2)),
+        (ebwt, ["ab"] * (OVER // 2)),
+        (multiset_clustering_report, ["ab"] * (OVER // 2)),
+        (ebwt, ["ba"] + ["a"] * (OVER - 2)),
+    ],
+    ids=["bwt", "clustering_report", "ebwt", "multiset_clustering_report", "ebwt-non-lyndon"],
+)
+def test_a_transform_over_the_bound_is_refused_before_any_work(monkeypatch, transform, argument):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the transform should have been refused before any work")
+
+    monkeypatch.setattr(bwt_module, "_rotation_sort", no_work)
+    monkeypatch.setattr(bwt_module, "is_lyndon", no_work)
+    with pytest.raises(ValueError, match=OVER_MESSAGE):
+        transform(argument, AB)
+
+
+def test_the_bound_is_the_largest_code_point():
+    assert MAX_TRANSFORM_LETTERS == 0x10FFFF

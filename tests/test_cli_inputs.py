@@ -1,6 +1,7 @@
 """CLI input handling: report bytes, environment variables, radicands, number
 literals and work budgets."""
 
+import importlib
 import json
 import os
 import pathlib
@@ -21,7 +22,10 @@ from ietkit.cli import (
     main,
     parse_iet_file,
 )
+from ietkit.bwt import MAX_TRANSFORM_LETTERS
 from ietkit.instance import IetFileError
+
+bwt_module = importlib.import_module("ietkit.bwt")
 
 DATA = pathlib.Path(__file__).parent / "data"
 EXPECTED = DATA / "expected"
@@ -235,3 +239,27 @@ def test_extgraph_order_without_a_vertex_prints_nothing(capsys, orders, message)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+OVER_TRANSFORM = MAX_TRANSFORM_LETTERS + 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["bwt", "--alphabet", "ab", "ab" * (OVER_TRANSFORM // 2)],
+    ["cluster", "--alphabet", "ab", "ab" * (OVER_TRANSFORM // 2)],
+    ["ebwt", "--alphabet", "ab", "a" * OVER_TRANSFORM],
+    ["ebwt", "--alphabet", "ab", *["ab"] * (OVER_TRANSFORM // 2)],
+], ids=["bwt", "cluster", "ebwt-one-word", "ebwt-many-words"])
+def test_a_transform_over_the_bound_prints_one_error_line(monkeypatch, capsys, argv):
+    """In-process through ``main``, so no limit on argument length applies,
+    and with the sort replaced, so nothing is sorted."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("the transform should have been refused before any work")
+
+    monkeypatch.setattr(bwt_module, "_rotation_sort", no_work)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: a transform of {OVER_TRANSFORM} letters is over the bound of {MAX_TRANSFORM_LETTERS} letters\n"
+    )

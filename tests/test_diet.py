@@ -147,3 +147,40 @@ class TestMultisetCorrespondence:
         for w in ("ab", "aab"):
             assert clustering_report(w, AB).permutation == swap
         assert not multiset_clustering_report(["ab", "aab"], AB).is_clustering
+
+
+def linear_block_of(diet, k):
+    """The block scan that bisection replaced."""
+    start = 0
+    for i, part in enumerate(diet.composition):
+        start += part
+        if k <= start:
+            return i
+
+
+@pytest.mark.parametrize("parts", [[1], [4, 2, 1], [1, 1, 1, 1], [3, 1, 5, 1, 2], [2, 7]])
+def test_block_of_at_every_block_boundary(parts):
+    diet = Diet(parts, Permutation.symmetric(len(parts)))
+    starts = list(itertools.accumulate(parts, initial=0))
+    points = {1, diet.n} | {s for s in starts[:-1] if s >= 1} | {s + 1 for s in starts[:-1]}
+    for k in sorted(points):
+        assert diet.block_of(k) == linear_block_of(diet, k)
+    for k in (0, diet.n + 1):
+        with pytest.raises(ValueError, match=rf"^{k} is outside 1\.\.{diet.n}$"):
+            diet.block_of(k)
+
+
+def test_orbit_words_read_each_block_once(monkeypatch):
+    """One block lookup per integer, and the words the letter and shift
+    of that block spell."""
+    diet = Diet([4, 2, 1], Permutation.symmetric(3))
+    calls = []
+    real = Diet.block_of
+
+    def counted(self, k):
+        calls.append(k)
+        return real(self, k)
+
+    monkeypatch.setattr(Diet, "block_of", counted)
+    assert orbit_words(diet, ABC) == ("aac", "ab", "ab")
+    assert sorted(calls) == list(range(1, 8))

@@ -1,8 +1,12 @@
 import itertools
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import ietkit
 from ietkit import (
     OrderedAlphabet,
     Permutation,
@@ -246,3 +250,30 @@ class TestSampleBound:
     def test_depth_below_one_is_refused(self, build, max_len, message):
         with pytest.raises(ValueError, match=message):
             build(max_len)
+
+
+HASH_SEED_SCRIPT = """
+from ietkit import LanguageSample, OrderedAlphabet, classify
+sample = LanguageSample(
+    words=frozenset({"", "a", "x", "y", "ax", "ya"}), max_len=4, alphabet=OrderedAlphabet("ab"), source="hand"
+)
+try:
+    classify(sample, "ab", "ab", 2)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_two_foreign_symbols_give_one_message_under_every_hash_seed():
+    """The least foreign symbol by code point is named, whatever order the
+    frozenset of words iterates in."""
+    messages = set()
+    for seed in range(1, 7):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = str(pathlib.Path(ietkit.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        messages.add(done.stdout)
+    assert messages == {"symbol 'x' is not in alphabet ab\n"}
