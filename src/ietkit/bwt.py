@@ -15,7 +15,8 @@ prefix by T each round: the key of a cyclic position is its own rank and
 the ranks of the positions k, 2k, ..., (T-1)k letters after it, read as
 one string, so a transform of n letters takes O(log_T n) rounds of
 O(n log n) string comparisons and O(T n) memory.  Ranks are code points,
-so a transform takes at most MAX_TRANSFORM_LETTERS letters.
+starting from the alphabet's rank digits (:meth:`OrderedAlphabet.key`), so a
+transform takes at most MAX_TRANSFORM_LETTERS letters.
 """
 
 from __future__ import annotations
@@ -63,8 +64,7 @@ def _rotation_sort(entries: tuple[str, ...], alphabet: OrderedAlphabet, span: in
     key is distinct or the keys rank ``span`` letters; positions still tied
     then start the same rotation, so they carry the same last letter.
     """
-    table = {ord(c): r for r, c in enumerate(alphabet.letters)}
-    digits = "".join(w.translate(table) for w in entries)
+    digits = "".join(map(alphabet.key, entries))
     keys: Sequence[str] = digits
     unique = set(keys)
     n = len(keys)
@@ -100,7 +100,6 @@ def bwt(w: str, alphabet: OrderedAlphabet) -> str:
     if not w:
         raise ValueError("cannot transform the empty word")
     _require_size(len(w))
-    alphabet.require(w)
     return _rotation_sort((w,), alphabet, len(w))
 
 
@@ -108,7 +107,6 @@ def _require_lyndon_entries(entries: tuple[str, ...], alphabet: OrderedAlphabet)
     if not entries:
         raise ValueError("empty multiset")
     for w in entries:
-        alphabet.require(w)
         if not is_lyndon(w, alphabet):
             raise ValueError(f"multiset entry {w!r} is not a Lyndon word over {alphabet}")
 

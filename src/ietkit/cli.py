@@ -68,10 +68,6 @@ def _require_letters(what: str, iet: Iet, max_len: int) -> None:
 # -- small shared helpers -----------------------------------------------------
 
 
-def _alphabet_arg(text: str) -> OrderedAlphabet:
-    return OrderedAlphabet(text)
-
-
 def _word_arg(text: str) -> str:
     """Accept the visible epsilon for the empty word."""
     return "" if text in ("ε", "eps") else text
@@ -173,30 +169,28 @@ def _orders_for(sample: LanguageSample, entries, source_pi, spec: str):
 
 
 def _cmd_bwt(args) -> int:
-    report = clustering_report(args.word, args.alphabet)
+    report = clustering_report(args.word, OrderedAlphabet(args.alphabet))
     print(f"transform: {report.transform}")
     _write_json(args.json, _cluster_payload(args.word, report))
     return 0
 
 
 def _cmd_ebwt(args) -> int:
-    alphabet = args.alphabet
-    report = multiset_clustering_report(args.words, alphabet)
+    report = multiset_clustering_report(args.words, OrderedAlphabet(args.alphabet))
     print(f"transform: {report.transform}")
     _write_json(args.json, _cluster_payload(" ".join(args.words), report))
     return 0
 
 
 def _cmd_ebwt_inverse(args) -> int:
-    alphabet = args.alphabet
-    words = inverse_ebwt(args.string, alphabet)
+    words = inverse_ebwt(args.string, OrderedAlphabet(args.alphabet))
     print(f"words: {' '.join(words)}")
     _write_json(args.json, {"input": args.string, "words": list(words)})
     return 0
 
 
 def _cmd_cluster(args) -> int:
-    report = clustering_report(args.word, args.alphabet)
+    report = clustering_report(args.word, OrderedAlphabet(args.alphabet))
     print(f"input: {args.word}")
     _print_cluster_report(report)
     _write_json(args.json, _cluster_payload(args.word, report))
@@ -281,14 +275,6 @@ def _cmd_iet_traj(args) -> int:
     return 0
 
 
-def _rank_key(alphabet: OrderedAlphabet):
-    """A sort key for words in the alphabet's order, as fast str keys: each
-    letter is replaced by the character whose code point is its rank, so
-    code-point order is the alphabet's lexicographic order."""
-    table = str.maketrans({c: chr(i) for i, c in enumerate(alphabet)})
-    return lambda w: w.translate(table)
-
-
 def _cmd_iet_language(args) -> int:
     iet = parse_iet_file(args.file)
     _require_letters(f"--max-len {args.max_len}", iet, args.max_len)
@@ -296,9 +282,8 @@ def _cmd_iet_language(args) -> int:
     by_len: dict[int, list[str]] = {}
     for w in words:
         by_len.setdefault(len(w), []).append(w)
-    key = _rank_key(iet.alphabet)
     for k in sorted(by_len):
-        row = sorted(by_len[k], key=key)
+        row = sorted(by_len[k], key=iet.alphabet.key)
         label = " ".join(row) if k else "ε"
         print(f"length {k} ({len(row)}): {label}")
     return 0
@@ -445,25 +430,25 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bwt", help="Burrows-Wheeler transform of a word")
-    p.add_argument("--alphabet", required=True, type=_alphabet_arg)
+    p.add_argument("--alphabet", required=True)
     p.add_argument("--json", default=None, help="write a JSON record to this path ('-' for stdout)")
     p.add_argument("word")
     p.set_defaults(func=_cmd_bwt)
 
     p = sub.add_parser("ebwt", help="extended transform of a Lyndon multiset")
-    p.add_argument("--alphabet", required=True, type=_alphabet_arg)
+    p.add_argument("--alphabet", required=True)
     p.add_argument("--json", default=None)
     p.add_argument("words", nargs="+")
     p.set_defaults(func=_cmd_ebwt)
 
     p = sub.add_parser("ebwt-inverse", help="invert the extended transform")
-    p.add_argument("--alphabet", required=True, type=_alphabet_arg)
+    p.add_argument("--alphabet", required=True)
     p.add_argument("--json", default=None)
     p.add_argument("string")
     p.set_defaults(func=_cmd_ebwt_inverse)
 
     p = sub.add_parser("cluster", help="clustering analysis of a word")
-    p.add_argument("--alphabet", required=True, type=_alphabet_arg)
+    p.add_argument("--alphabet", required=True)
     p.add_argument("--json", default=None)
     p.add_argument("word")
     p.set_defaults(func=_cmd_cluster)

@@ -197,9 +197,14 @@ class Iet:
         img_left = dict(zip(self._image_letters, self._image_bounds))
         self._tau = {c: img_left[c] - left for c, left in zip(letters, self._bounds)}
         self._domain = Interval(self._origin, self._bounds[-1])
-        # Irrational numbers of one instance share a radicand (adding two
-        # that do not raises), and every length shows up in some bound.
-        self._radicand = max(b.d for b in self._bounds)
+        # Irrational numbers of one instance share a radicand.  Adding two
+        # that do not raises above, unless a sum of lengths of one radicand
+        # cancels to a rational first, so every value is read here.
+        first, *others = [v.d for v in (self._origin, *lens.values()) if v.d] or [0]
+        for d in others:
+            if d != first:
+                raise _mismatch(first, d)
+        self._radicand = first
         self._grid: tuple | None = None
         self._table: tuple | None = None
 

@@ -19,10 +19,22 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 
+class _RankTable(dict):
+    """Code point of each letter -> its rank digit ``chr(rank)``, for
+    ``str.translate``.  A symbol outside the alphabet raises ValueError,
+    which translate passes on: a plain table would leave the symbol in
+    place, and a symbol such as ``'\\x01'`` is itself a rank digit."""
+
+    __slots__ = ("name",)
+
+    def __missing__(self, code: int):
+        raise ValueError(f"symbol {chr(code)!r} is not in alphabet {self.name}")
+
+
 class OrderedAlphabet:
     """A finite sequence of distinct single-character symbols with its order."""
 
-    __slots__ = ("_letters", "_rank")
+    __slots__ = ("_letters", "_rank", "_table")
 
     def __init__(self, letters: Iterable[str]):
         letters = tuple(letters)
@@ -35,6 +47,8 @@ class OrderedAlphabet:
             raise ValueError(f"duplicate letter in alphabet {''.join(letters)!r}")
         self._letters = letters
         self._rank = {c: i for i, c in enumerate(letters)}
+        self._table = _RankTable({ord(c): chr(i) for i, c in enumerate(letters)})
+        self._table.name = "".join(letters)
 
     @property
     def letters(self) -> tuple[str, ...]:
@@ -47,18 +61,16 @@ class OrderedAlphabet:
         except KeyError:
             raise ValueError(f"symbol {letter!r} is not in alphabet {self}") from None
 
-    def key(self, word: str) -> tuple[int, ...]:
-        """Sort key realizing the lexicographic order of this alphabet."""
-        try:
-            return tuple(self._rank[c] for c in word)
-        except KeyError as exc:
-            raise ValueError(f"symbol {exc.args[0]!r} is not in alphabet {self}") from None
+    def key(self, word: str) -> str:
+        """Sort key realizing the lexicographic order of this alphabet: the
+        word with each letter replaced by its rank digit, so code-point
+        order is the alphabet's order, a proper prefix first.  The first
+        symbol outside the alphabet, in word order, raises ValueError."""
+        return word.translate(self._table)
 
     def require(self, word: str) -> str:
         """Validate that every symbol of ``word`` belongs to the alphabet."""
-        for c in word:
-            if c not in self._rank:
-                raise ValueError(f"symbol {c!r} is not in alphabet {self}")
+        word.translate(self._table)
         return word
 
     def restrict(self, word_or_letters: str) -> "OrderedAlphabet":
@@ -263,12 +275,11 @@ def compare_omega(u: str, v: str, alphabet: OrderedAlphabet) -> int:
     """Compare the infinite powers u^w and v^w; equal iff uv == vu.
 
     Comparing prefixes of length |u| + |v| decides the order exactly, so no
-    unbounded expansion is ever needed.
+    unbounded expansion is ever needed.  The prefixes hold all of u and of
+    v, so their keys check both words, u first.
     """
     if not u or not v:
         raise ValueError("omega-order comparison needs nonempty words")
-    alphabet.require(u)
-    alphabet.require(v)
     n = len(u) + len(v)
     uu = (u * (n // len(u) + 1))[:n]
     vv = (v * (n // len(v) + 1))[:n]

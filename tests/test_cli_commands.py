@@ -96,6 +96,10 @@ def test_diet_names_a_bad_composition(capsys, composition):
         (["iet", "rauzy", "{file}", "--steps", "auto", "--word", "zz"], "symbol 'z' is not in alphabet abc"),
         (["diet", "--composition", "2,1", "--pi", "ba", "--cylinder", "x"], "symbol 'x' is not in alphabet ab"),
         (["morphism", "apply", "--spec", "a:b,a:c", "a"], "letter 'a' is given twice in --spec"),
+        (["bwt", "--alphabet", "aab", "banana"], "duplicate letter in alphabet 'aab'"),
+        (["cluster", "--alphabet", "", "banana"], "alphabet must contain at least one letter"),
+        (["ebwt", "--alphabet", "abb", "ab"], "duplicate letter in alphabet 'abb'"),
+        (["ebwt-inverse", "--alphabet", "", "ba"], "alphabet must contain at least one letter"),
     ],
 )
 def test_refused_input_prints_only_its_error_line(capsys, golden_file, argv, message):

@@ -362,3 +362,23 @@ def test_radicand_of_instances():
     # An irrational origin gives its radicand to rational lengths.
     shifted = Iet(OrderedAlphabet("ab"), Permutation([1, 0]), {"a": 1, "b": 2}, QuadNum(0, 1, 1, 3))
     assert shifted.radicand == 3
+
+
+def test_lengths_over_two_radicands_are_refused():
+    """a + b and c + d are rational, so no sum of either partition mixes
+    sqrt(2) with sqrt(3); the lengths themselves still carry both."""
+    abcd = OrderedAlphabet("abcd")
+    lengths = {"a": QuadNum(2, 1, 1, 2), "b": QuadNum(2, -1, 1, 2), "c": QuadNum(2, 1, 1, 3), "d": QuadNum(2, -1, 1, 3)}
+    with pytest.raises(ValueError, match=r"^mismatched radicands: sqrt\(2\) vs sqrt\(3\)$"):
+        Iet(abcd, Permutation.from_one_line_letters("dcba", abcd), lengths)
+
+
+@pytest.mark.parametrize("lengths, origin", [
+    ({"a": QuadNum(0, 1, 1, 2), "b": 1, "c": 1, "d": 1}, QuadNum(0, 1, 1, 3)),
+    # a + b is rational, so sqrt(3) comes first in the running sum.
+    ({"a": QuadNum(2, 1, 1, 2), "b": QuadNum(2, -1, 1, 2), "c": QuadNum(0, 1, 1, 3), "d": QuadNum(0, 1, 1, 2)}, 0),
+], ids=["origin", "cancelled-sum"])
+def test_a_mix_met_in_the_domain_partition_keeps_its_message(lengths, origin):
+    abcd = OrderedAlphabet("abcd")
+    with pytest.raises(ValueError, match=r"^mismatched radicands: sqrt\(3\) vs sqrt\(2\)$"):
+        Iet(abcd, Permutation.symmetric(4), lengths, origin)

@@ -1,19 +1,23 @@
 import itertools
+import string
 
 import pytest
 
 from ietkit import (
     OrderedAlphabet,
     Permutation,
+    bwt,
     compare_lex,
     compare_omega,
     conjugates,
+    ebwt,
     is_lyndon,
     is_primitive,
     lyndon_representative,
     parikh,
     primitive_root,
 )
+from ietkit.bwt import MAX_TRANSFORM_LETTERS
 
 ENGLISH = OrderedAlphabet("abcdefghijklmnopqrstuvwxyz")
 AB = OrderedAlphabet("ab")
@@ -201,3 +205,55 @@ class TestPermutation:
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
             Permutation([0, 0, 1])
+
+
+# -- the rank table ------------------------------------------------------------
+
+# Letters that are rank digits themselves, ASCII letters, and letters above U+FFFF.
+POOL = "\x00\x01\x02\x03" + string.ascii_letters + "\U00010000\U0001f600\U0010ffff"
+
+
+def test_key_orders_words_as_rank_tuples():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        letters = data.draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=40, unique=True))
+        alphabet = OrderedAlphabet(letters)
+        words = data.draw(st.lists(st.text(st.sampled_from(letters), max_size=8), max_size=30))
+        ranks = lambda w: tuple(map(alphabet.rank, w))
+        assert sorted(words, key=alphabet.key) == sorted(words, key=ranks)
+        for u, v in zip(words, reversed(words)):
+            assert compare_lex(u, v, alphabet) == (ranks(u) > ranks(v)) - (ranks(u) < ranks(v))
+
+    check()
+
+
+# Each call meets '\x01' before any other foreign symbol, and '\x00' and
+# '\x01' are the rank digits of a and b.
+FIRST_FOREIGN = [
+    ("key", lambda: AB.key("ab\x01a\x00")),
+    ("require", lambda: AB.require("b\x01\x00")),
+    ("bwt", lambda: bwt("ab\x01c", AB)),
+    ("ebwt", lambda: ebwt(["ab", "a\x01b\x00", "a\x00"], AB)),
+    ("is_lyndon", lambda: is_lyndon("a\x01\x00", AB)),
+    ("lyndon_representative", lambda: lyndon_representative("ba\x01\x00", AB)),
+    ("compare_lex", lambda: compare_lex("ab\x01", "\x00", AB)),
+    ("compare_lex-second", lambda: compare_lex("ab", "b\x01\x00", AB)),
+    ("compare_omega", lambda: compare_omega("a\x01", "\x00", AB)),
+    ("compare_omega-second", lambda: compare_omega("ab", "\x01\x00", AB)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in FIRST_FOREIGN], ids=[i for i, _ in FIRST_FOREIGN])
+def test_the_first_foreign_symbol_is_named(call):
+    with pytest.raises(ValueError, match=r"^symbol '\\x01' is not in alphabet ab$"):
+        call()
+
+
+def test_an_oversized_multiset_is_refused_before_its_foreign_symbol():
+    entries = ["a\x01"] + ["ab"] * (MAX_TRANSFORM_LETTERS // 2)
+    with pytest.raises(ValueError, match=r"^a transform of \d+ letters is over the bound"):
+        ebwt(entries, AB)
