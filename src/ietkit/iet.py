@@ -8,15 +8,17 @@ image pieces tile the same domain left to right in the order
 the difference between its image offset and its domain offset.
 
 Points, bounds and translations are :class:`~ietkit.arith.QuadNum` at the
-API.  The long loops (trajectories, connection search, return-word scans,
-language and cylinder refinement) run on one integer lattice instead: every
-bound and translation of an instance lies in ``(1/R)(Z + Z sqrt(d))`` for
-the lcm ``R`` of their denominators, and so does every orbit point of a
-point on it.  A point is then an integer pair ``(P, Q)`` that a step only
-adds to, an orbit hit is equality of pairs, and an order test is
-:func:`ietkit.arith._lt`, the integer sign test of ``a + b sqrt(d)`` behind
-every QuadNum comparison; nothing is rounded and no float is consulted, so
-the loops decide exactly what the QuadNum forms decide.  The Keane
+API, but an instance is stored on one integer lattice, and its QuadNum
+values are built from it on first read: every bound and translation lies in
+``(1/R)(Z + Z sqrt(d))`` for the lcm ``R`` of their denominators, and so
+does every orbit point of a point on it.  The long loops (trajectories,
+connection search, return-word scans, first returns, language and cylinder
+refinement) run on the lattice, and so do Rauzy steps, whose states keep it.
+A point is an integer pair ``(P, Q)`` that a step only adds to, an orbit hit
+is equality of pairs, and an order test is :func:`ietkit.arith._lt`, the
+integer sign test of ``a + b sqrt(d)`` behind every QuadNum comparison;
+nothing is rounded and no float is consulted, so the loops decide exactly
+what the QuadNum forms decide.  The Keane
 (no-connection) condition is only ever certified to a finite depth; nothing
 in this module claims full regularity.
 
@@ -40,8 +42,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from collections.abc import Iterator, Mapping
-from itertools import islice
+from itertools import accumulate, islice
 from math import lcm
 
 from .arith import QuadNum, _lt, _mismatch
@@ -53,6 +56,12 @@ DEFAULT_KEANE_DEPTH = 1000
 # Letters per block step of the orbit loops.  The block table has at most
 # (d - 1)K + 1 entries; at K = 32 it costs more to build than it saves.
 _K = 16
+
+
+def _at(v: QuadNum, R: int) -> tuple[int, int]:
+    """``v`` as the pair ``(P, Q)`` with ``v = (P + Q sqrt(d))/R``; ``v.r`` divides ``R``."""
+    m = R // v.r
+    return v.p * m, v.q * m
 
 
 class CapExceededError(RuntimeError):
@@ -170,8 +179,6 @@ class Iet:
     ):
         if len(permutation) != len(alphabet):
             raise ValueError("permutation size does not match alphabet size")
-        self._alphabet = alphabet
-        self._perm = permutation
         lens: dict[str, QuadNum] = {}
         for c in alphabet:
             if c not in lengths:
@@ -185,34 +192,40 @@ class Iet:
         extra = set(lengths) - set(alphabet.letters)
         if extra:
             raise ValueError(f"lengths given for letters outside the alphabet: {sorted(extra)}")
-        self._lengths = lens
-        self._origin = QuadNum(origin) if isinstance(origin, int) else origin
-
-        # The boundaries [origin, cut_1, ..., end] of the domain and of the
-        # image partition, and the translation of each piece.
-        letters = alphabet.letters
-        self._image_letters = tuple(permutation.one_line_letters(alphabet))
-        self._bounds = self._partition(letters)
-        self._image_bounds = self._partition(self._image_letters)
-        img_left = dict(zip(self._image_letters, self._image_bounds))
-        self._tau = {c: img_left[c] - left for c, left in zip(letters, self._bounds)}
-        self._domain = Interval(self._origin, self._bounds[-1])
-        # Irrational numbers of one instance share a radicand.  Adding two
-        # that do not raises above, unless a sum of lengths of one radicand
-        # cancels to a rational first, so every value is read here.
-        first, *others = [v.d for v in (self._origin, *lens.values()) if v.d] or [0]
+        origin = QuadNum(origin) if isinstance(origin, int) else origin
+        image = tuple(permutation.one_line_letters(alphabet))
+        # The QuadNum sums of both partitions raise on two radicands where
+        # they meet them.  A sum of lengths of one radicand can cancel to a
+        # rational first, so every value is read after.
+        for seq in (alphabet.letters, image):
+            list(accumulate(map(lens.get, seq), initial=origin))
+        first, *others = [v.d for v in (origin, *lens.values()) if v.d] or [0]
         for d in others:
             if d != first:
                 raise _mismatch(first, d)
-        self._radicand = first
-        self._grid: tuple | None = None
-        self._table: tuple | None = None
+        R = lcm(origin.r, *(v.r for v in lens.values()))
+        self._place(alphabet, image, R, first, _at(origin, R), {c: _at(v, R) for c, v in lens.items()})
 
-    def _partition(self, letters: tuple[str, ...]) -> list[QuadNum]:
-        bounds = [self._origin]
-        for c in letters:
-            bounds.append(bounds[-1] + self._lengths[c])
-        return bounds
+    def _place(self, alphabet, image, R, d, origin, lengths) -> None:
+        """Set the exchange from lattice data, unchecked (a Rauzy step places
+        its state on a bare ``Iet.__new__(Iet)``): ``origin`` and each length
+        are pairs ``(P, Q)`` of ``(P + Q sqrt(d))/R``.  ``_grid`` is ``(R, d,
+        bounds, rows)``, with the domain boundaries ``[origin, cut..., end]``
+        and one ``(letter, right P, right Q, tau P, tau Q)`` per piece;
+        ``_image_cuts`` are the boundaries of the image partition."""
+        self._alphabet, self._image_letters, self._lens = alphabet, image, lengths
+        self._perm = Permutation(map(alphabet.letters.index, image))
+        bounds, image_cuts = [origin], [origin]
+        for seq, cuts in ((alphabet.letters, bounds), (image, image_cuts)):
+            for c in seq:
+                (P, Q), (lp, lq) = cuts[-1], lengths[c]
+                cuts.append((P + lp, Q + lq))
+        image_left = dict(zip(image, image_cuts))
+        rows = tuple(
+            (c, *right, image_left[c][0] - left[0], image_left[c][1] - left[1])
+            for c, left, right in zip(alphabet.letters, bounds, bounds[1:])
+        )
+        self._grid, self._image_cuts, self._table = (R, d, tuple(bounds), rows), image_cuts, None
 
     # -- structure ----------------------------------------------------------
 
@@ -226,7 +239,7 @@ class Iet:
 
     @property
     def origin(self) -> QuadNum:
-        return self._origin
+        return self.domain.left
 
     @property
     def d(self) -> int:
@@ -236,7 +249,7 @@ class Iet:
     def radicand(self) -> int:
         """The radicand shared by the instance's irrational numbers; 0 when
         every length and the origin are rational."""
-        return self._radicand
+        return self._grid[1]
 
     def length(self, letter: str) -> QuadNum:
         self._alphabet.rank(letter)
@@ -245,10 +258,6 @@ class Iet:
     @property
     def lengths(self) -> dict[str, QuadNum]:
         return dict(self._lengths)
-
-    @property
-    def domain(self) -> Interval:
-        return self._domain
 
     def image_order_letters(self) -> tuple[str, ...]:
         return self._image_letters
@@ -265,44 +274,49 @@ class Iet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Iet):
             return NotImplemented
+        # R is the least common denominator of the origin and the lengths,
+        # so equal numbers have equal pairs.
         return (
             self._alphabet == other._alphabet
-            and self._perm == other._perm
-            and self._lengths == other._lengths
-            and self._origin == other._origin
+            and self._image_letters == other._image_letters
+            and self._grid == other._grid
         )
 
     def __repr__(self) -> str:
         lens = ", ".join(f"{c}={self._lengths[c]}" for c in self._alphabet)
         return (
             f"Iet({self._alphabet}, pi={self._perm.one_line_letters(self._alphabet)}, "
-            f"{lens}, origin={self._origin})"
+            f"{lens}, origin={self.origin})"
         )
 
-    # -- lattice coordinates ----------------------------------------------------
+    # -- QuadNum views of the lattice, built on first read -----------------------
 
-    def _lattice(self) -> tuple[int, int, tuple[tuple[int, int], ...], tuple]:
-        """The instance on its lattice: ``(R, d, bounds, rows)``.
+    def _nums(self, pairs) -> list[QuadNum]:
+        R, d, _, _ = self._grid
+        return [QuadNum(P, Q, R, d) for P, Q in pairs]
 
-        ``bounds`` are the domain boundaries ``[origin, cut..., end]`` and
-        ``rows`` one ``(letter, right P, right Q, tau P, tau Q)`` per piece,
-        each number ``x`` as the pair ``(P, Q)`` with ``x = (P + Q sqrt(d))/R``.
-        Built on first use, since Rauzy states never need it.
-        """
-        if self._grid is None:
-            taus = [self._tau[c] for c in self._alphabet]
-            R = lcm(*(v.r for v in self._bounds), *(tau.r for tau in taus))
+    @cached_property
+    def domain(self) -> Interval:
+        bounds = self._grid[2]
+        return Interval(*self._nums((bounds[0], bounds[-1])))
 
-            def at(v: QuadNum) -> tuple[int, int]:
-                m = R // v.r
-                return v.p * m, v.q * m
+    @cached_property
+    def _bounds(self) -> list[QuadNum]:
+        return self._nums(self._grid[2])
 
-            bounds = tuple(at(v) for v in self._bounds)
-            rows = tuple(
-                (c, *at(right), *at(tau)) for c, right, tau in zip(self._alphabet, self._bounds[1:], taus)
-            )
-            self._grid = (R, self._radicand, bounds, rows)
-        return self._grid
+    @cached_property
+    def _image_bounds(self) -> list[QuadNum]:
+        return self._nums(self._image_cuts)
+
+    @cached_property
+    def _lengths(self) -> dict[str, QuadNum]:
+        return dict(zip(self._alphabet, self._nums(self._lens[c] for c in self._alphabet)))
+
+    @cached_property
+    def _tau(self) -> dict[str, QuadNum]:
+        return dict(zip(self._alphabet, self._nums(row[3:] for row in self._grid[3])))
+
+    # -- lattice loops -----------------------------------------------------------
 
     def _refine(self, level: list[tuple[str, int, int, int, int]]) -> list[tuple[str, int, int, int, int]]:
         """The cylinders one letter longer than those of ``level``.
@@ -315,7 +329,7 @@ class Iet:
         whose right end reaches ``hi``.  Children follow their parent's
         order, which is the order of their cylinders in the domain.
         """
-        _, d, _, rows = self._lattice()
+        _, d, _, rows = self._grid
         next_level = []
         for w, lp, lq, hp, hq in level:
             for c, rp, rq, tp, tq in rows:
@@ -339,7 +353,7 @@ class Iet:
         first orbit use, since Rauzy states never walk orbits.
         """
         if self._table is None:
-            _, _, bounds, rows = self._lattice()
+            _, _, bounds, rows = self._grid
             level = [("", *bounds[0], *bounds[-1])]
             for _ in range(_K):
                 level = self._refine(level)
@@ -370,7 +384,7 @@ class Iet:
         domain or of another radicand raises as it does there.
         """
         self.letter_at(x)
-        R, d, _, _ = self._lattice()
+        R, d, _, _ = self._grid
         lefts_p, lefts_q, _, shifts, _ = self._blocks()
         if x.q and d and x.d != d:
             raise _mismatch(x.d, d)
@@ -404,7 +418,7 @@ class Iet:
         i = bisect_right(self._bounds, x)
         if 0 < i < len(self._bounds):
             return self._alphabet.letters[i - 1]
-        raise ValueError(f"point {x} is outside the domain {self._domain}")
+        raise ValueError(f"point {x} is outside the domain {self.domain}")
 
     def apply(self, x: QuadNum) -> QuadNum:
         return x + self._tau[self.letter_at(x)]
@@ -413,7 +427,7 @@ class Iet:
         i = bisect_right(self._image_bounds, y)
         if 0 < i < len(self._image_bounds):
             return y - self._tau[self._image_letters[i - 1]]
-        raise ValueError(f"point {y} is outside the domain {self._domain}")
+        raise ValueError(f"point {y} is outside the domain {self.domain}")
 
     def discontinuities(self) -> tuple[tuple[QuadNum, ...], tuple[QuadNum, ...]]:
         """(D(T), D(T^-1)): interior division points of the domain and image partitions."""
@@ -427,7 +441,7 @@ class Iet:
         """
         if depth < 0:
             raise ValueError("depth must be nonnegative")
-        R, d, bounds, _ = self._lattice()
+        R, d, bounds, _ = self._grid
         steps = self._blocks()[4]
         targets = set(bounds[1:-1])
         # Matching the rational part first saves building a pair per point.
@@ -456,7 +470,7 @@ class Iet:
         is not in the language.
         """
         self._alphabet.require(w)
-        R, d, bounds, rows = self._lattice()
+        R, d, bounds, rows = self._grid
         rank = self._alphabet.rank
         # [lo, hi) is T^k of the cylinder of the first k letters, and shift
         # the translation T^k applies on it.
@@ -479,7 +493,7 @@ class Iet:
         """All factors of length <= n, by exact cylinder refinement."""
         if n < 0:
             raise ValueError("maximal length must be nonnegative")
-        _, _, bounds, _ = self._lattice()
+        _, _, bounds, _ = self._grid
         words: set[str] = {""}
         level = [("", *bounds[0], *bounds[-1])]
         for _ in range(n):
@@ -488,23 +502,36 @@ class Iet:
         return words
 
     def first_return(self, sub: Interval, z: QuadNum, cap: int = 10_000) -> tuple[QuadNum, int]:
-        """First re-entry of the orbit of ``z`` into ``sub``: (landing point, steps)."""
+        """First re-entry of the orbit of ``z`` into ``sub``: (landing point, steps).
+
+        The arguments are checked as QuadNums; the orbit then runs on the
+        lattice of the instance, ``sub`` and ``z``, where a number of another
+        radicand raises up front.
+        """
         if cap <= 0:
             raise ValueError("cap must be positive")
         if not self.domain.contains_interval(sub) or sub.is_empty:
             raise ValueError("the return interval must be a nonempty part of the domain")
         if not sub.contains(z):
             raise ValueError(f"point {z} is not in the return interval {sub}")
-        y = self.apply(z)
-        steps = 1
-        while not sub.contains(y):
-            if steps >= cap:
-                raise CapExceededError(
-                    f"no return to {sub} within {cap} steps from {z}"
-                )
-            y = self.apply(y)
-            steps += 1
-        return y, steps
+        R, d, _, rows = self._grid
+        x, lo, hi = [QuadNum(v) if isinstance(v, int) else v for v in (z, sub.left, sub.right)]
+        for v in (x, lo, hi):
+            if v.q and d and v.d != d:
+                raise _mismatch(v.d, d)
+            d = d or v.d
+        S = lcm(R, x.r, lo.r, hi.r)
+        if S != R:
+            rows = [(c, *(v * (S // R) for v in row)) for c, *row in rows]
+        (P, Q), (lp, lq), (hp, hq) = _at(x, S), _at(lo, S), _at(hi, S)
+        for steps in range(1, cap + 1):
+            for _, rp, rq, tp, tq in rows:
+                if _lt(P - rp, Q - rq, d):
+                    break
+            P, Q = P + tp, Q + tq
+            if not _lt(P - lp, Q - lq, d) and _lt(P - hp, Q - hq, d):
+                return QuadNum(P, Q, S, d), steps
+        raise CapExceededError(f"no return to {sub} within {cap} steps from {z}")
 
     def return_words_scan(
         self, w: str, horizon: int | None = None, expected: int | None = None

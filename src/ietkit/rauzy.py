@@ -17,12 +17,16 @@ zero-connection and the step refuses.  One rule then updates both cases:
   the partner is shorter, in alphabet order when the pivot is;
 * a left step also moves the origin right by the shorter length.
 
+The rule runs on integer pairs.  It is an invertible integer change of the
+origin and the lengths, so every state keeps the lattice of the instance
+(see :mod:`ietkit.iet`) with the same least common denominator ``R``.
+
 The updated transformation is re-derived from first principles after every
 step: the first-return time and landing point of each new piece are checked
 exactly against the original dynamics, so a wrong update cannot survive.
-Both sides of the check are read off the partitions: a piece's orbit starts
-at its left end (pieces are left-closed) and must land at that end plus the
-piece's translation.
+Both sides of the check are read off the new lattice: a piece's orbit
+starts at its left end (pieces are left-closed) and must land at that end
+plus the piece's translation, by :meth:`Iet.first_return`.
 
 Each step contributes one of the paper's substitutions (see
 :mod:`ietkit.morphisms`): ``alpha(partner, pivot)``, partner -> partner
@@ -51,9 +55,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .iet import Iet, Interval
+from .arith import QuadNum, _lt
+from .iet import Iet, _at
 from .morphisms import Morphism, compose, identity, substitution
-from .words import OrderedAlphabet, Permutation
+from .words import OrderedAlphabet
 
 RIGHT = "right"
 LEFT = "left"
@@ -101,15 +106,16 @@ def _verify_induced(base: Iet, induced: Iet) -> None:
 
     Every piece of the induced transformation must come back to the induced
     domain in one or two steps of the base map, landing exactly where the
-    induced translation says.
+    induced translation says.  The witness and the landing are read off the
+    induced map's own lattice, which need not be the base's.
     """
     sub = induced.domain
     if not base.domain.contains_interval(sub):
         raise AssertionError("induced domain escapes the base domain")
-    for c in induced.alphabet:
-        z = induced.interval(c).left
-        landing, steps = base.first_return(sub, z, cap=4)
-        if steps > 2 or landing != z + induced.translation(c):
+    R, d, bounds, rows = induced._grid
+    for (P, Q), (c, _, _, tp, tq) in zip(bounds, rows):
+        landing, steps = base.first_return(sub, QuadNum(P, Q, R, d), cap=4)
+        if steps > 2 or landing != QuadNum(P + tp, Q + tq, R, d):
             raise AssertionError(
                 f"induced map disagrees with first return on piece {c!r}"
             )
@@ -126,23 +132,26 @@ def _step(iet: Iet, kind: str) -> tuple[Iet, StepRecord]:
     end = -1 if kind == RIGHT else 0
     # Irreducibility already rules out pivot == partner.
     pivot, partner = letters[end], image[end]
-    lp, lq = iet.length(pivot), iet.length(partner)
-    if lp == lq:
+    R, d, bounds, _ = iet._grid
+    lengths = dict(iet._lens)
+    piv, par = lengths[pivot], lengths[partner]
+    if piv == par:
         raise ZeroConnectionError(
-            f"{kind} step undefined: pieces {pivot!r} and {partner!r} have equal length {lp}"
+            f"{kind} step undefined: pieces {pivot!r} and {partner!r} have equal length {iet.length(pivot)}"
         )
 
-    case, longer, short = (TOP_LONGER, pivot, lq) if lp > lq else (TOP_SHORTER, partner, lp)
-    lengths = iet.lengths
-    lengths[longer] -= short
+    top_longer = _lt(par[0] - piv[0], par[1] - piv[1], d)
+    case, longer, (sp, sq) = (TOP_LONGER, pivot, par) if top_longer else (TOP_SHORTER, partner, piv)
+    (P, Q), (oP, oQ) = lengths[longer], bounds[0]
+    lengths[longer] = P - sp, Q - sq
     after = kind == RIGHT
     if case == TOP_LONGER:
         image = _moved(image, partner, pivot, after)
     else:
         letters = _moved(letters, pivot, partner, after)
-    origin = iet.origin if after else iet.origin + short
-    post_alphabet = OrderedAlphabet(letters)
-    induced = Iet(post_alphabet, Permutation(post_alphabet.rank(c) for c in image), lengths, origin)
+    post_alphabet = alphabet if case == TOP_LONGER else OrderedAlphabet(letters)
+    induced = Iet.__new__(Iet)
+    induced._place(post_alphabet, image, R, d, (oP, oQ) if after else (oP + sp, oQ + sq), lengths)
     _verify_induced(iet, induced)
     return induced, StepRecord(kind, case, pivot, partner, alphabet, post_alphabet)
 
@@ -170,16 +179,16 @@ def step_morphism(record: StepRecord) -> Morphism:
     return substitution(a, image, record.post_alphabet, record.pre_alphabet)
 
 
-def _keeps(iet: Iet, kind: str, target: Interval) -> bool:
-    """Whether a ``kind`` step keeps ``target`` inside the domain, read off
-    the last (right) or first (left) cuts of both partitions before the step
-    is built.  Equal cuts are a zero connection, where no step is defined."""
-    d_map, d_inv = iet.discontinuities()
-    if kind == RIGHT:
-        a, b = d_map[-1], d_inv[-1]
-        return a != b and target.right <= max(a, b)
-    a, b = d_map[0], d_inv[0]
-    return a != b and min(a, b) <= target.left
+def _keeps(iet: Iet, kind: str, target: tuple[tuple[int, int], tuple[int, int]]) -> bool:
+    """Whether a ``kind`` step keeps ``target``, two ends on the lattice of
+    ``iet``, inside the domain: on a right step its right end must not pass
+    the larger last cut of the two partitions, on a left step the smaller
+    first cut must not pass its left end.  Equal cuts are a zero
+    connection, where no step is defined."""
+    _, d, bounds, _ = iet._grid
+    i, s, (tp, tq) = (-2, 1, target[1]) if kind == RIGHT else (1, -1, target[0])
+    a, b = bounds[i], iet._image_cuts[i]
+    return a != b and any(not _lt(s * (P - tp), s * (Q - tq), d) for P, Q in (a, b))
 
 
 def induce_to_cylinder(
@@ -220,13 +229,15 @@ def induce_to_cylinder(
         raise ValueError(f"the start trace's domain does not contain the cylinder of {w!r}")
     steps, states, theta = list(start.steps), list(start.states), start.theta
     order = (LEFT, RIGHT) if prefer_left else (RIGHT, LEFT)
+    # Every state of the walk keeps the lattice of ``iet``.
+    ends = (_at(target.left, iet._grid[0]), _at(target.right, iet._grid[0]))
     # A start chain already longer than ``cap`` fails even when no step is left.
-    while states[-1].domain != target or len(steps) > cap:
+    while (states[-1]._grid[2][0], states[-1]._grid[2][-1]) != ends or len(steps) > cap:
         if len(steps) >= cap:
             raise InductionCapError(
                 f"no step sequence onto the cylinder of {w!r} within {cap} steps"
             )
-        kind = next((k for k in order if _keeps(states[-1], k, target)), None)
+        kind = next((k for k in order if _keeps(states[-1], k, ends)), None)
         if kind is None:
             raise InductionCapError(
                 f"no step keeps the cylinder of {w!r} inside the domain "

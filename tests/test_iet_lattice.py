@@ -1,11 +1,13 @@
 """The lattice loops of ``Iet`` checked against their QuadNum forms.
 
-``trajectory``, ``check_keane``, ``return_words_scan``, ``language`` and
-``cylinder`` step integer lattice coordinates, and the orbit loops among
-them read ``_K`` letters per step from a table of cylinders.  The oracles
-below are the same loops on :class:`QuadNum` values, one letter at a time,
-as they were written before the lattice, reading only the public piece data
-of the instance.  Inputs at and around the block length sit beside the
+``trajectory``, ``check_keane``, ``return_words_scan``, ``first_return``,
+``language`` and ``cylinder`` step integer lattice coordinates, and the
+orbit loops among them read ``_K`` letters per step from a table of
+cylinders.  The oracles below are the same loops on :class:`QuadNum`
+values, one letter at a time, as they were written before the lattice,
+reading only the public piece data of the instance.  Rauzy states, born on
+the lattice of their instance, are checked against the exchanges built from
+their QuadNum values.  Inputs at and around the block length sit beside the
 random ones.
 """
 
@@ -19,8 +21,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ietkit import Iet, OrderedAlphabet, Permutation, QuadNum  # noqa: E402
 from ietkit.cli import parse_iet_file  # noqa: E402
-from ietkit.iet import _K, EMPTY, Connection, IncompleteScanError, Interval, KeaneVerdict  # noqa: E402
-from ietkit.rauzy import induce_to_cylinder  # noqa: E402
+from ietkit.iet import (  # noqa: E402
+    _K, EMPTY, CapExceededError, Connection, IncompleteScanError, Interval, KeaneVerdict,
+)
+from ietkit.rauzy import InductionCapError, induce_to_cylinder  # noqa: E402
 
 DATA = pathlib.Path(__file__).parent / "data"
 FILES = {name: parse_iet_file(str(DATA / name)) for name in ("golden.iet", "sqrt2_4.iet")}
@@ -113,12 +117,29 @@ def scan_oracle(iet: Iet, w: str, horizon: int) -> frozenset[str]:
     )
 
 
+def first_return_oracle(iet: Iet, sub: Interval, z: QuadNum, cap: int) -> tuple[QuadNum, int]:
+    if cap <= 0:
+        raise ValueError("cap must be positive")
+    if not iet.domain.contains_interval(sub) or sub.is_empty:
+        raise ValueError("the return interval must be a nonempty part of the domain")
+    if not sub.contains(z):
+        raise ValueError(f"point {z} is not in the return interval {sub}")
+    y = iet.apply(z)
+    steps = 1
+    while not sub.contains(y):
+        if steps >= cap:
+            raise CapExceededError(f"no return to {sub} within {cap} steps from {z}")
+        y = iet.apply(y)
+        steps += 1
+    return y, steps
+
+
 def same_outcome(fast, slow):
     """Both calls return equal values, or raise the same error with the same
     message (and the same words, for an incomplete scan)."""
     try:
         expected = slow()
-    except (ValueError, IncompleteScanError) as exc:
+    except (ValueError, IncompleteScanError, CapExceededError) as exc:
         with pytest.raises(type(exc)) as caught:
             fast()
         assert str(caught.value) == str(exc)
@@ -279,15 +300,125 @@ def test_scan_horizons_at_block_edges_and_cut_occurrences(name, w):
         same_outcome(lambda: iet.return_words_scan(w, horizon=horizon), lambda: scan_oracle(iet, w, horizon))
 
 
+def twin(state: Iet) -> Iet:
+    """The exchange built from the QuadNum values of ``state``."""
+    return Iet(state.alphabet, state.permutation, state.lengths, state.origin)
+
+
 def test_rauzy_states_build_no_lattice_or_block_table():
     """Induction steps never walk an orbit, so its states stay without the
-    lattice and the block table."""
+    block table; their lattice numbers are those of their QuadNum twins."""
     iet = parse_iet_file(str(DATA / "sqrt2_4.iet"))
     trace = induce_to_cylinder(iet, "cbccbc")
     assert len(trace.states) > 10
     for state in trace.states[1:]:
-        assert state._grid is None
+        assert state._grid == twin(state)._grid
         assert state._table is None
+
+
+@pytest.mark.parametrize("name", sorted(FILES))
+def test_rauzy_states_equal_their_quadnum_twins(name):
+    """Every state of every walk onto the words up to length 8, from the
+    instance and resumed from the prefix's trace, against the exchange built
+    from its QuadNum values."""
+    iet = FILES[name]
+    traces = {}
+    seen = 0
+    for w in sorted(iet.language(8), key=len):
+        walks = [induce_to_cylinder(iet, w)]
+        if w:
+            try:
+                walks.append(induce_to_cylinder(iet, w, start=traces[w[:-1]]))
+            except InductionCapError:
+                pass
+        traces[w] = walks[-1]
+        for trace in walks:
+            for state in trace.states:
+                other = twin(state)
+                assert state == other
+                assert state._grid == other._grid
+                assert state.domain == other.domain
+                assert state.radicand == other.radicand
+                assert state.discontinuities() == other.discontinuities()
+                assert repr(state) == repr(other)
+                for c in state.alphabet:
+                    assert state.interval(c) == other.interval(c)
+                    assert state.translation(c) == other.translation(c)
+                seen += 1
+    assert seen > 1000
+
+
+@st.composite
+def returns(draw):
+    """An instance, the cylinder of one of its words (or of a word outside
+    its language), a point of it on or off the lattice, and a cap."""
+    iet = draw(instances)
+    words = sorted(iet.language(5), key=lambda w: (len(w), w))
+    w = draw(st.sampled_from(words))
+    if draw(st.integers(0, 5)) == 0:
+        w = draw(st.text(alphabet=iet.alphabet.letters, max_size=5))
+    sub = iet.cylinder(w)
+    where = "anywhere" if sub.is_empty else draw(st.sampled_from(["left", "inside", "inside", "anywhere"]))
+    if where == "left":
+        z = sub.left
+    elif where == "inside":
+        # Denominators up to 13 need not divide the instance's R.
+        m = draw(st.integers(1, 13))
+        z = sub.left + sub.length() * QuadNum(draw(st.integers(0, m - 1)), 0, m)
+    else:
+        z = draw(points(iet))
+    cap = draw(st.sampled_from([-1, 0, 1, 2, 3, 5, 20, 10_000, 10_000, 10_000, 10_000, 10_000]))
+    return iet, sub, z, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(returns())
+def test_first_return_matches_quadnum_steps(case):
+    iet, sub, z, cap = case
+    same_outcome(lambda: iet.first_return(sub, z, cap=cap), lambda: first_return_oracle(iet, sub, z, cap))
+
+
+def q2(p, q, r=1, d=2):
+    return QuadNum(p, q, r, d)
+
+
+GOLDEN_B = FILES["golden.iet"].cylinder("b")
+
+
+@pytest.mark.parametrize("name, sub, z, cap", [
+    # cap <= 0 comes first, whatever else is wrong.
+    ("golden.iet", GOLDEN_B, QuadNum(5), 0),
+    ("golden.iet", EMPTY, QuadNum(5), -1),
+    # an empty return interval, then one outside the domain
+    ("golden.iet", EMPTY, QuadNum(0), 3),
+    ("golden.iet", Interval(QuadNum(-1), QuadNum(1, 0, 2)), QuadNum(5), 3),
+    ("golden.iet", Interval(QuadNum(1, 0, 2), QuadNum(2)), QuadNum(1, 0, 2), 3),
+    # a point outside the return interval
+    ("golden.iet", GOLDEN_B, QuadNum(0), 3),
+    ("golden.iet", GOLDEN_B, GOLDEN_B.right, 3),
+    # a return after 3 steps, with a cap one short and a cap just enough
+    ("golden.iet", GOLDEN_B, GOLDEN_B.left, 2),
+    ("golden.iet", GOLDEN_B, GOLDEN_B.left, 3),
+    ("sqrt2_4.iet", FILES["sqrt2_4.iet"].cylinder("cbcc"), FILES["sqrt2_4.iet"].cylinder("cbcc").left, 2),
+    # an int point, and an interval with int ends
+    ("golden.iet", FILES["golden.iet"].domain, 0, 5),
+    ("rational", Interval(1, 3), 2, 50),
+    # a rational exchange given a sqrt(2) interval and a sqrt(3) point
+    ("rational", Interval(q2(0, 1), QuadNum(3)), QuadNum(0, 1, 1, 3), 50),
+    # a rational exchange takes the radicand of the point, or of the interval
+    ("rational", Interval(QuadNum(1), QuadNum(3)), QuadNum(0, 1, 1, 3), 50),
+    ("rational", Interval(q2(0, 1), QuadNum(3)), QuadNum(2), 50),
+    ("rational", Interval(q2(0, 1), q2(1, 1)), q2(1, 2, 2), 50),
+])
+def test_first_return_keeps_its_errors_and_their_order(name, sub, z, cap):
+    iet = FILES.get(name, RATIONAL)
+    same_outcome(lambda: iet.first_return(sub, z, cap=cap), lambda: first_return_oracle(iet, sub, z, cap))
+
+
+def test_first_return_of_a_rational_exchange_refuses_two_radicands():
+    sub, z = Interval(q2(0, 1), QuadNum(3)), QuadNum(0, 1, 1, 3)
+    with pytest.raises(ValueError, match=r"^mismatched radicands: sqrt\(2\) vs sqrt\(3\)$"):
+        RATIONAL.first_return(sub, z)
 
 
 def test_scan_keeps_its_horizon_message_and_words():
