@@ -504,26 +504,33 @@ class Iet:
     def first_return(self, sub: Interval, z: QuadNum, cap: int = 10_000) -> tuple[QuadNum, int]:
         """First re-entry of the orbit of ``z`` into ``sub``: (landing point, steps).
 
-        The arguments are checked as QuadNums; the orbit then runs on the
-        lattice of the instance, ``sub`` and ``z``, where a number of another
-        radicand raises up front.
+        ``z`` and the ends of ``sub`` are tested and followed as pairs over the
+        lattice of the instance and their denominators; numbers of two radicands
+        are refused there, after the QuadNum tests that meet them first.
         """
         if cap <= 0:
             raise ValueError("cap must be positive")
-        if not self.domain.contains_interval(sub) or sub.is_empty:
-            raise ValueError("the return interval must be a nonempty part of the domain")
-        if not sub.contains(z):
-            raise ValueError(f"point {z} is not in the return interval {sub}")
-        R, d, _, rows = self._grid
+        outside = "the return interval must be a nonempty part of the domain"
+        if sub.is_empty:
+            raise ValueError(outside)
+        R, d, ((op, oq), *_, (ep, eq)), rows = self._grid
         x, lo, hi = [QuadNum(v) if isinstance(v, int) else v for v in (z, sub.left, sub.right)]
         for v in (x, lo, hi):
             if v.q and d and v.d != d:
+                if not self.domain.contains_interval(sub):
+                    raise ValueError(outside)
+                if not sub.contains(z):
+                    raise ValueError(f"point {z} is not in the return interval {sub}")
                 raise _mismatch(v.d, d)
             d = d or v.d
         S = lcm(R, x.r, lo.r, hi.r)
         if S != R:
             rows = [(c, *(v * (S // R) for v in row)) for c, *row in rows]
         (P, Q), (lp, lq), (hp, hq) = _at(x, S), _at(lo, S), _at(hi, S)
+        if _lt(lp * R - op * S, lq * R - oq * S, d) or _lt(ep * S - hp * R, eq * S - hq * R, d):
+            raise ValueError(outside)
+        if _lt(P - lp, Q - lq, d) or not _lt(P - hp, Q - hq, d):
+            raise ValueError(f"point {z} is not in the return interval {sub}")
         for steps in range(1, cap + 1):
             for _, rp, rq, tp, tq in rows:
                 if _lt(P - rp, Q - rq, d):

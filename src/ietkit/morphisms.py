@@ -88,7 +88,10 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
         raise ValueError(
             f"cannot compose: inner morphism targets {g.target}, outer expects {f.source}"
         )
-    return Morphism(g.source, f.target, {c: f(g.images[c]) for c in g.source})
+    images = {c: "".join([f.images[x] for x in g.images[c]]) for c in g.source}
+    h = Morphism.__new__(Morphism)  # valid by construction, so no __post_init__
+    h.__dict__.update(source=g.source, target=f.target, images=images)
+    return h
 
 
 def rename(mu: Permutation, alphabet: OrderedAlphabet) -> Morphism:

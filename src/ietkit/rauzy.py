@@ -40,7 +40,8 @@ produces).
 The step sequence onto a cylinder is a walk that takes, at each state, a
 step whose cut keeps the cylinder inside the domain.  Cylinders of a regular
 transformation are admissible intervals (Dolce and Perrin, 2017), so such a
-step exists and never leads to a dead end: every step built is kept.
+step exists and never leads to a dead end: every step built is kept.  Only
+a walk's first state is tested for irreducibility, since a step keeps it.
 
 Because ``cyl(wa)`` lies inside ``cyl(w)``, the walk onto ``cyl(wa)`` may
 resume from the final state of the walk onto ``cyl(w)``.  That state is the
@@ -115,19 +116,25 @@ def _verify_induced(base: Iet, induced: Iet) -> None:
     R, d, bounds, rows = induced._grid
     for (P, Q), (c, _, _, tp, tq) in zip(bounds, rows):
         landing, steps = base.first_return(sub, QuadNum(P, Q, R, d), cap=4)
-        if steps > 2 or landing != QuadNum(P + tp, Q + tq, R, d):
+        # It must be (P + tp + (Q + tq) sqrt(d))/R; first_return refuses two radicands.
+        if steps > 2 or landing.p * R != (P + tp) * landing.r or landing.q * R != (Q + tq) * landing.r:
             raise AssertionError(
                 f"induced map disagrees with first return on piece {c!r}"
             )
 
 
-def _step(iet: Iet, kind: str) -> tuple[Iet, StepRecord]:
-    alphabet = iet.alphabet
-    letters = alphabet.letters
-    if len(letters) < 2:
+def _inducible(iet: Iet) -> Iet:
+    """``iet``, refused unless a walk may start from it (a step keeps both conditions)."""
+    if len(iet.alphabet.letters) < 2:
         raise ValueError("induction needs at least two intervals")
     if not iet.permutation.is_irreducible:
         raise ValueError("induction needs an irreducible permutation")
+    return iet
+
+
+def _step(iet: Iet, kind: str) -> tuple[Iet, StepRecord]:
+    alphabet = iet.alphabet
+    letters = alphabet.letters
     image = iet.image_order_letters()
     end = -1 if kind == RIGHT else 0
     # Irreducibility already rules out pivot == partner.
@@ -158,12 +165,12 @@ def _step(iet: Iet, kind: str) -> tuple[Iet, StepRecord]:
 
 def rauzy_right(iet: Iet) -> tuple[Iet, StepRecord]:
     """Induce on the domain cut at the rightmost interior division point."""
-    return _step(iet, RIGHT)
+    return _step(_inducible(iet), RIGHT)
 
 
 def rauzy_left(iet: Iet) -> tuple[Iet, StepRecord]:
     """Induce on the domain cut at the leftmost interior division point."""
-    return _step(iet, LEFT)
+    return _step(_inducible(iet), LEFT)
 
 
 def step_morphism(record: StepRecord) -> Morphism:
@@ -243,6 +250,8 @@ def induce_to_cylinder(
                 f"no step keeps the cylinder of {w!r} inside the domain "
                 f"(steps taken: {len(steps)}); the transformation has a connection"
             )
+        if len(steps) == len(start.steps):
+            _inducible(states[-1])
         state, record = _step(states[-1], kind)
         steps.append(record)
         states.append(state)

@@ -10,8 +10,8 @@ bytes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .bwt import clustering_report
 from .iet import DEFAULT_KEANE_DEPTH, Iet, IncompleteScanError
@@ -184,44 +184,45 @@ def verify_return_words(
     )
 
 
+def _block(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """A JSON array (or object) of ``items`` as ``json.dumps(indent=2)`` lays it out at ``pad``."""
+    sep = ",\n  " + pad
+    return brackets[0] + sep[1:] + sep.join(items) + "\n" + pad + brackets[1] if items else brackets
+
+
+def _structured(report: VerificationReport) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)`` for the report's fixed
+    schema: keys in sorted order, strings through the C escaper, and each
+    distinct check rendered once, since return words recur across words."""
+    s = encode_basestring_ascii
+    obj = lambda pad, fields: _block([f"{s(k)}: {v}" for k, v in fields.items()], pad, "{}")
+    null = lambda v: "null" if v is None else s(v)
+    flag = lambda v: "true" if v else "false"
+    seen: dict[ReturnWordCheck, str] = {}
+    records = []
+    for r in report.records:
+        for c in r.checks:
+            if c not in seen:
+                seen[c] = obj(8 * " ", dict(
+                    blocks=s(c.blocks), clustering=flag(c.is_clustering),
+                    matches_instance_permutation=flag(c.matches_instance_permutation),
+                    transform=s(c.transform), word=s(c.word)))
+        theta = {} if r.theta is None else {
+            "theta": obj(6 * " ", {a: s(u) for a, u in sorted(dict(r.theta).items())})}
+        records.append(obj(4 * " ", dict(
+            checks=_block([seen[c] for c in r.checks], 6 * " "), method_agreement=flag(r.method_agreement),
+            return_words=_block([s(u) for u in r.return_words], 6 * " "), **theta, word=s(r.word))))
+    failures = [obj(4 * " ", dict(reason=s(f.reason), return_word=null(f.return_word),
+                                  transform=null(f.transform), word=s(f.word))) for f in report.failures]
+    return obj("", dict(
+        failures=_block(failures, "  "), instance=s(report.instance), keane_depth=str(report.keane_depth),
+        max_len=str(report.max_len), records=_block(records, "  "), words_checked=str(report.words_checked)))
+
+
 def emit_report(report: VerificationReport, fmt: str = "text") -> bytes:
     """Deterministic serialization; ``structured`` is JSON with sorted keys."""
     if fmt == "structured":
-        payload = {
-            "instance": report.instance,
-            "max_len": report.max_len,
-            "keane_depth": report.keane_depth,
-            "words_checked": report.words_checked,
-            "failures": [
-                {
-                    "word": f.word,
-                    "return_word": f.return_word,
-                    "transform": f.transform,
-                    "reason": f.reason,
-                }
-                for f in report.failures
-            ],
-            "records": [
-                {
-                    "word": r.word,
-                    "method_agreement": r.method_agreement,
-                    "return_words": list(r.return_words),
-                    "checks": [
-                        {
-                            "word": c.word,
-                            "transform": c.transform,
-                            "clustering": c.is_clustering,
-                            "blocks": c.blocks,
-                            "matches_instance_permutation": c.matches_instance_permutation,
-                        }
-                        for c in r.checks
-                    ],
-                    **({"theta": dict(r.theta)} if r.theta is not None else {}),
-                }
-                for r in report.records
-            ],
-        }
-        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+        return (_structured(report) + "\n").encode()
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
     lines = [

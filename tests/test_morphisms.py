@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -17,6 +18,8 @@ from ietkit import (
     make_alpha_tilde,
     rename,
 )
+from ietkit.instance import parse_iet_file
+from ietkit.rauzy import induce_to_cylinder, step_morphism
 
 AB = OrderedAlphabet("ab")
 ABC = OrderedAlphabet("abc")
@@ -91,7 +94,7 @@ class TestCompose:
         acb = OrderedAlphabet("acb")
         f = make_alpha("a", "b", ABC)
         g = Morphism(acb, acb, {"a": "a", "b": "b", "c": "c"})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^cannot compose: inner morphism targets acb, outer expects abc$"):
             compose(f, g)
 
 
@@ -222,3 +225,41 @@ class TestPreservationCasesSmoke:
                     support = OrderedAlphabet(sorted(set(w)))
                     assert is_primitive(make_alpha(a, b, support)(w))
                     assert is_primitive(make_alpha_tilde(a, b, support)(w))
+
+
+def composed_oracle(f, g):
+    """f after g through the validating constructor."""
+    return Morphism(g.source, f.target, {c: f(g(c)) for c in g.source})
+
+
+def step_chains():
+    """The step morphisms of the walks onto every word up to length 5 of
+    the two test instances; each chain runs from the instance."""
+    for name in ("golden.iet", "sqrt2_4.iet"):
+        iet = parse_iet_file(str(pathlib.Path(__file__).parent / "data" / name))
+        for w in sorted(iet.language(5)):
+            yield [step_morphism(r) for r in induce_to_cylinder(iet, w).steps]
+
+
+class TestComposeOracle:
+    def test_matches_the_validating_constructor_on_step_chains(self):
+        rng = random.Random(16)
+        seen = 0
+        for chain in step_chains():
+            if len(chain) < 2:
+                continue
+            for _ in range(3):
+                i, j, k = sorted(rng.sample(range(len(chain) + 1), 3))
+                if i == j or j == k:
+                    continue
+                f, g = chain[i], chain[j]
+                for m in chain[i + 1 : j]:
+                    f = composed_oracle(f, m)
+                for m in chain[j + 1 : k]:
+                    g = composed_oracle(g, m)
+                got, expected = compose(f, g), composed_oracle(f, g)
+                assert got == expected
+                assert repr(got) == repr(expected)
+                assert list(got.images) == list(g.source)
+                seen += 1
+        assert seen > 100

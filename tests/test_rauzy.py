@@ -90,8 +90,15 @@ class TestSingleSteps:
 
     def test_reducible_refused(self, abc):
         iet = Iet(abc, Permutation.from_one_line_letters("bac", abc), {"a": 1, "b": 2, "c": 4})
-        with pytest.raises(ValueError):
-            rauzy_right(iet)
+        for step in (rauzy_right, rauzy_left):
+            with pytest.raises(ValueError, match="^induction needs an irreducible permutation$"):
+                step(iet)
+
+    def test_one_interval_refused(self):
+        one = Iet(OrderedAlphabet("a"), Permutation([0]), {"a": 1})
+        for step in (rauzy_right, rauzy_left):
+            with pytest.raises(ValueError, match="^induction needs at least two intervals$"):
+                step(one)
 
     def test_left_top_longer_update(self):
         # Pivot a longer than partner b: alphabet fixed, partner re-inserted
@@ -252,3 +259,37 @@ def test_step_check_rejects_every_wrong_map(kind):
     for iet in wrong:
         with pytest.raises(AssertionError, match="disagrees with first return"):
             _verify_induced(base, iet)
+
+
+# The reducible exchange abc with image order b, a, c and lengths 1, 2, 4.  A
+# walk tests irreducibility only before its first step, once a side is
+# chosen, so a word no step keeps still fails as a connection.
+REDUCIBLE = Iet(
+    OrderedAlphabet("abc"), Permutation.from_one_line_letters("bac", OrderedAlphabet("abc")), {"a": 1, "b": 2, "c": 4}
+)
+NO_STEP = "no step keeps the cylinder of {!r} inside the domain (steps taken: 0); the transformation has a connection"
+REDUCIBLE_OUTCOMES = {
+    "": None,
+    **{w: (InductionCapError, NO_STEP.format(w)) for w in ("a", "ab", "abb")},
+    **{w: (ValueError, "induction needs an irreducible permutation")
+       for w in ("b", "c", "ba", "bb", "cc", "bab", "bba", "ccc")},
+}
+
+
+def test_the_table_covers_the_reducible_language():
+    assert not REDUCIBLE.permutation.is_irreducible
+    assert set(REDUCIBLE_OUTCOMES) == REDUCIBLE.language(3)
+
+
+@pytest.mark.parametrize("w", sorted(REDUCIBLE_OUTCOMES, key=lambda w: (len(w), w)))
+def test_reducible_input_fails_in_the_same_order(w):
+    expected = REDUCIBLE_OUTCOMES[w]
+    if expected is None:
+        trace = induce_to_cylinder(REDUCIBLE, w)
+        assert (trace.steps, trace.states, trace.final) == ((), (REDUCIBLE,), REDUCIBLE)
+        return
+    error, message = expected
+    with pytest.raises(error) as caught:
+        induce_to_cylinder(REDUCIBLE, w)
+    assert str(caught.value) == message
+
