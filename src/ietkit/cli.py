@@ -271,6 +271,7 @@ def _cmd_iet_traj(args) -> int:
     _require_steps(f"--steps {args.steps}", args.steps)
     iet = parse_iet_file(args.file)
     point = QuadNum.parse(args.point, iet.radicand)
+    iet.letter_at(point)  # refuses a point outside the domain, --steps 0 included
     print(iet.trajectory(point, args.steps))
     return 0
 

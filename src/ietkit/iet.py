@@ -24,18 +24,22 @@ in this module claims full regularity.
 
 Languages are enumerated by cylinder refinement, never by sampling
 trajectories: on a cylinder of the words of length k the k-th iterate is a
-single translation, so the children of a cylinder are exact interval
-intersections and no factor can be missed.
+single translation, and the images of these cylinders tile the domain.  Kept
+in image order, one length becomes the next by cutting it at the d - 1
+interior bounds, one binary search each, so no factor can be missed and no
+word is compared on its own.
 
 Orbits are read a block of ``_K`` letters at a time.  The cylinders of the
 words of length K are intervals that tile the domain, at most
 ``(d - 1)K + 1`` of them, and T^K is one translation on each (Keane,
-*Interval exchange transformations*, 1975).  The same refinement that
-enumerates the language lists them in left-end order, so one block step
-locates the point by a binary search over the left ends with the exact sign
-test, emits the cylinder's word and adds its translation.  The points inside
-a block are the block's start plus the prefix sums of the word's
-translations, so the connection search still tests every one of them.
+*Interval exchange transformations*, 1975); they are cut only at the points
+whose orbits meet an interior bound within K steps.  The refinement lists
+them, and the alphabet order of their words is their left-end order.  A
+block step emits the cylinder's word, adds its translation, and locates the
+new point by a binary search over the blocks that T^K of the cylinder meets,
+recorded in the table, usually one to three.  The points inside a block are
+its start plus the prefix sums of the word's translations, and the
+connection search tests them only at a block that starts at a left end.
 """
 
 from __future__ import annotations
@@ -53,8 +57,8 @@ from .words import OrderedAlphabet, Permutation
 # The connection check's depth when none is given.
 DEFAULT_KEANE_DEPTH = 1000
 
-# Letters per block step of the orbit loops.  The block table has at most
-# (d - 1)K + 1 entries; at K = 32 it costs more to build than it saves.
+# Letters per block step of the orbit loops.  The table takes about (d - 1)K^2
+# pair sums; at K = 32 building it costs more than it saves on 10^4 letters.
 _K = 16
 
 
@@ -318,48 +322,66 @@ class Iet:
 
     # -- lattice loops -----------------------------------------------------------
 
-    def _refine(self, level: list[tuple[str, int, int, int, int]]) -> list[tuple[str, int, int, int, int]]:
-        """The cylinders one letter longer than those of ``level``.
+    def _refine(self, level: list[tuple[str, int, int]]) -> list[tuple[str, int, int]]:
+        """The words one letter longer than those of ``level``, in image order.
 
-        An entry ``(w, lp, lq, hp, hq)`` is a word with the image
-        ``T^|w|(cyl(w)) = [lo, hi)`` on the lattice; the image of
-        ``cyl(wc)`` is that pair cut to the piece of ``c`` and moved by its
-        translation.  The pieces ``[lo, hi)`` meets are consecutive: the
-        first is the one whose right end passes ``lo``, the last the one
-        whose right end reaches ``hi``.  Children follow their parent's
-        order, which is the order of their cylinders in the domain.
+        An entry ``(w, P, Q)`` is a word with the left end of
+        ``T^|w|(cyl(w))`` on the lattice.  The images of one length tile the
+        domain, so a level in image order is sorted by left end and each
+        image ends where the next begins.  The level is cut at each interior
+        bound, found by one binary search; an image that straddles the bound
+        gives an entry to each side, the right one starting at the bound.
+        The part in the piece of ``c``, extended by ``c`` and moved by its
+        translation, tiles the image piece of ``c``, so the parts concatenate
+        in image order.  The cuts obey the left-end lemma: if ``T^j(x)`` is an
+        interior bound ``b`` with ``j < k``, then ``x`` is the left end of its
+        cylinder of length ``k``, or ``T^j`` would move some ``[x - e, x]``
+        inside it onto ``[b - e, b]``, which meets two pieces.
         """
-        _, d, _, rows = self._grid
-        next_level = []
-        for w, lp, lq, hp, hq in level:
-            for c, rp, rq, tp, tq in rows:
-                if not _lt(lp - rp, lq - rq, d):
-                    continue
-                if not _lt(rp - hp, rq - hq, d):
-                    next_level.append((w + c, lp + tp, lq + tq, hp + tp, hq + tq))
-                    break
-                next_level.append((w + c, lp + tp, lq + tq, rp + tp, rq + tq))
-                lp, lq = rp, rq
-        return next_level
+        _, d, bounds, rows = self._grid
+        parts, first, size = {}, 0, len(level)
+        for k, (c, _, _, tp, tq) in enumerate(rows):
+            (lp, lq), (bp, bq) = bounds[k], bounds[k + 1]
+            lo = hi = size
+            if k + 1 < len(rows):
+                lo = first
+                while lo < hi:  # past the last entry whose left end is at most the bound
+                    mid = (lo + hi) >> 1
+                    if _lt(bp - level[mid][1], bq - level[mid][2], d):
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                hi -= level[lo - 1][1:] == (bp, bq)  # no straddle
+            parts[c] = [(level[first][0] + c, lp + tp, lq + tq)]
+            parts[c] += [(w + c, P + tp, Q + tq) for w, P, Q in level[first + 1 : hi]]
+            first = lo - 1
+        return [e for c in self._image_letters for e in parts[c]]
 
-    def _blocks(self) -> tuple[list[int], list[int], list[str], list[tuple[int, int]], list[tuple]]:
-        """The block table: ``(lefts P, lefts Q, words, shifts, steps)``.
+    def _blocks(self) -> tuple[list[int], list[int], list[str], list[tuple], list[tuple], list[tuple]]:
+        """The block table: ``(lefts P, lefts Q, words, shifts, steps, successors)``.
 
         One entry per cylinder of the words of length ``_K``, in left-end
-        order: the left end on the lattice, the word, the translation of
-        T^K on the cylinder, and the ``_K`` prefix sums of the word's
-        translations (the first is zero), so that the orbit point ``j``
-        letters into the block is its start plus ``steps[i][j]``.  Built on
-        first orbit use, since Rauzy states never walk orbits.
+        order, which is the alphabet order of the words: the left end on the
+        lattice, the word, the translation of T^K on it, the ``_K`` prefix
+        sums of the word's translations (the first is zero; the point ``j``
+        letters into the block is its start plus ``steps[i][j]``), and the
+        range ``[lo, hi)`` of the blocks that T^K of the cylinder meets,
+        from one merge of the images with the left ends.  By the left-end
+        lemma (``T^j`` would move ``[x - e, x]`` onto ``[b - e, b]``, see
+        :meth:`_refine`), a point that meets an interior bound within ``_K``
+        steps is a left end.  Built on first orbit use, since Rauzy states
+        never walk orbits.
         """
         if self._table is None:
-            _, _, bounds, rows = self._grid
-            level = [("", *bounds[0], *bounds[-1])]
+            _, d, bounds, rows = self._grid
+            level = [("", *bounds[0])]
             for _ in range(_K):
                 level = self._refine(level)
             tau = {c: (tp, tq) for c, _, _, tp, tq in rows}
+            order = sorted(range(len(level)), key=lambda m: self._alphabet.key(level[m][0]))
             lefts_p, lefts_q, words, shifts, steps = [], [], [], [], []
-            for w, lp, lq, _, _ in level:
+            for m in order:
+                w, lp, lq = level[m]
                 sp = sq = 0
                 prefix = []
                 for c in w:
@@ -371,21 +393,33 @@ class Iet:
                 words.append(w)
                 shifts.append((sp, sq))
                 steps.append(tuple(prefix))
-            self._table = (lefts_p, lefts_q, words, shifts, steps)
+            # An image [L, L') meets the blocks from the last left end at or
+            # below L to the last one below L'.
+            firsts, j = [], 0
+            for _, lp, lq in level:
+                while j + 1 < len(level) and not _lt(lp - lefts_p[j + 1], lq - lefts_q[j + 1], d):
+                    j += 1
+                firsts.append(j)
+            tops = [j + ((lefts_p[j], lefts_q[j]) != e[1:]) for j, e in zip(firsts[1:], level[1:])]
+            ranges = list(zip(firsts, tops + [len(level)]))
+            self._table = (lefts_p, lefts_q, words, shifts, steps, [ranges[m] for m in order])
         return self._table
 
     def _walk(self, x: QuadNum) -> Iterator[tuple[int, int, int]]:
         """``(i, P, Q)`` for x, T^K(x), T^2K(x), ...: each point on the
         lattice of the instance and of ``x``, with the index of the block
         whose cylinder contains it.  The next ``_K`` letters of the orbit
-        are the block's word.
+        are the block's word, and the next point's block is searched for in
+        the block's range only.  By the left-end lemma (``T^j`` would move
+        ``[x - e, x]`` onto ``[b - e, b]``, see :meth:`_refine`), that range
+        is cut only where orbits meet an interior bound within ``_K`` steps.
 
         ``x`` is located with :meth:`letter_at` first, so a point outside the
         domain or of another radicand raises as it does there.
         """
         self.letter_at(x)
         R, d, _, _ = self._grid
-        lefts_p, lefts_q, _, shifts, _ = self._blocks()
+        lefts_p, lefts_q, _, shifts, _, successors = self._blocks()
         if x.q and d and x.d != d:
             raise _mismatch(x.d, d)
         d = d or x.d  # a rational instance takes the radicand of the point
@@ -396,10 +430,9 @@ class Iet:
             shifts = [(tp * m, tq * m) for tp, tq in shifts]
         n = R * m // x.r
         P, Q = x.p * n, x.q * n
-        size = len(lefts_p)
+        lo, hi = 0, len(lefts_p)
         while True:
             # The last left end at or below the point; the first is the origin.
-            lo, hi = 0, size
             while hi - lo > 1:
                 mid = (lo + hi) >> 1
                 if _lt(P - lefts_p[mid], Q - lefts_q[mid], d):
@@ -410,6 +443,7 @@ class Iet:
             tp, tq = shifts[lo]
             P += tp
             Q += tq
+            lo, hi = successors[lo]
 
     # -- dynamics -------------------------------------------------------------
 
@@ -437,21 +471,24 @@ class Iet:
         """Search for a connection by iterating each inverse-discontinuity forward.
 
         Exact equality tests only; finding nothing up to ``depth`` certifies
-        regularity to that depth and no further.
+        regularity to that depth and no further.  A block's points are tested
+        only when it starts at the left end of its cylinder: if ``T^j(x)`` is
+        an interior bound ``b`` with ``j < _K``, ``x`` is such a left end, or
+        ``T^j`` would move ``[x - e, x]`` onto ``[b - e, b]`` (see :meth:`_refine`).
         """
         if depth < 0:
             raise ValueError("depth must be nonnegative")
         R, d, bounds, _ = self._grid
-        steps = self._blocks()[4]
+        lefts_p, lefts_q, _, _, steps, _ = self._blocks()
         targets = set(bounds[1:-1])
-        # Matching the rational part first saves building a pair per point.
-        target_p = {p for p, _ in targets}
         # Image cuts are sums of bounds and translations, so they lie on the
         # instance's lattice and their orbits keep its R.
         for x in self._image_bounds[1:-1]:
             for start, (i, P, Q) in zip(range(0, depth + 1, _K), self._walk(x)):
+                if P != lefts_p[i] or Q != lefts_q[i]:
+                    continue
                 for n, (sp, sq) in enumerate(steps[i][: depth + 1 - start], start):
-                    if P + sp in target_p and (P + sp, Q + sq) in targets:
+                    if (P + sp, Q + sq) in targets:
                         y = QuadNum(P + sp, Q + sq, R, d)
                         return KeaneVerdict(regular_to_depth=n - 1, failure=Connection(x, y, n))
         return KeaneVerdict(regular_to_depth=depth)
@@ -495,7 +532,7 @@ class Iet:
             raise ValueError("maximal length must be nonnegative")
         _, _, bounds, _ = self._grid
         words: set[str] = {""}
-        level = [("", *bounds[0], *bounds[-1])]
+        level = [("", *bounds[0])]
         for _ in range(n):
             level = self._refine(level)
             words.update(w for w, *_ in level)

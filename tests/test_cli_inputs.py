@@ -214,6 +214,14 @@ def test_irrational_length_without_a_radicand_is_refused(tmp_path, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("steps", ["0", "1", "17"])
+def test_traj_refuses_a_point_outside_the_domain_at_every_length(capsys, golden_file, steps):
+    assert main(["iet", "traj", golden_file, "--point", "(100, 0, 1)", "--steps", steps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: point (100) is outside the domain [(0), (1))\n"
+
+
 def test_irrational_point_on_a_rational_instance_is_refused(tmp_path, capsys):
     """On an instance whose numbers are all rational, ``--point (1, 3, 2)``
     would run from 1/2; it is refused with one line and exit 2."""

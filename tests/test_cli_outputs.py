@@ -12,6 +12,7 @@ after an intended output change, rewrite it with
 and review the diff.
 """
 
+import hashlib
 import io
 import json
 import os
@@ -87,6 +88,27 @@ def test_output_is_unchanged(monkeypatch, record):
     monkeypatch.delenv("IETKIT_KEANE_DEPTH", raising=False)
     monkeypatch.delenv("IETKIT_INDUCTION_CAP", raising=False)
     assert run(record["argv"]) == record
+
+
+# sha256 of stdout and the exit status of the benchmark's orbit calls at the
+# benchmark's sizes, recorded before the orbit loops were refined in image order.
+ORBIT_BYTES = [
+    ("iet language golden.iet --max-len 60", 0, "dccb7e109b4cf9e3f941e4efdef57046f9eeb99721388877da0744d1d7762be1"),
+    ("iet check golden.iet --depth 5000", 0, "bc18c39110a658c505c5ea70b9f752d612788ef398722fee2f28f7d9fc6ad02e"),
+    ("iet traj golden.iet --point (1,1,7) --steps 10000", 0,
+     "3bd0ae81f6a1750ec2ac4a05b0343d85e21c1191d07489666a0e3c7e2a9372e0"),
+    ("iet language sqrt2_even.iet --max-len 60", 0, "ea6e70134ab49587056e73bbd4e63a513bb8989c0027c946f9d3c917f1388740"),
+    ("iet check sqrt2_even.iet --depth 5000", 0, "583a8eed0b5a449e5202e18c0a4bb67a74ec04376b90e5ed7d67a385a81dbddf"),
+    ("iet traj sqrt2_even.iet --point (5,1,3) --steps 10000", 0,
+     "5733f57cbb9ae04e9a8fc2ca64cdeace1db8aeba649a20761f0c15a4a18183a4"),
+]
+
+
+@pytest.mark.parametrize("command, status, digest", ORBIT_BYTES, ids=[c for c, _, _ in ORBIT_BYTES])
+def test_the_benchmark_orbit_calls_keep_their_bytes(command, status, digest):
+    result = run(command.split())
+    assert (result["status"], result["stderr"]) == (status, "")
+    assert hashlib.sha256(result["stdout"].encode()).hexdigest() == digest
 
 
 if __name__ == "__main__":

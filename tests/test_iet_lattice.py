@@ -5,7 +5,9 @@
 orbit loops among them read ``_K`` letters per step from a table of
 cylinders.  The oracles below are the same loops on :class:`QuadNum`
 values, one letter at a time, as they were written before the lattice,
-reading only the public piece data of the instance.  Rauzy states, born on
+reading only the public piece data of the instance.  The image-order
+refinement and the block table with its successor ranges are checked against
+the cylinder-order refinement they replaced and a linear QuadNum search.  Rauzy states, born on
 the lattice of their instance, are checked against the exchanges built from
 their QuadNum values.  Inputs at and around the block length sit beside the
 random ones.
@@ -20,6 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ietkit import Iet, OrderedAlphabet, Permutation, QuadNum  # noqa: E402
+from ietkit.arith import _lt  # noqa: E402
 from ietkit.cli import parse_iet_file  # noqa: E402
 from ietkit.iet import (  # noqa: E402
     _K, EMPTY, CapExceededError, Connection, IncompleteScanError, Interval, KeaneVerdict,
@@ -164,7 +167,15 @@ def rational_iets(draw) -> Iet:
     return Iet(alphabet, Permutation(order), lengths, origin)
 
 
-instances = st.one_of(st.sampled_from(sorted(FILES)).map(FILES.get), rational_iets())
+# An irrational exchange with a nonzero origin whose alphabet order is not the
+# code-point order of its letters, so that sorting words by code point and by
+# the alphabet's key differ.
+SHUFFLED = Iet(OrderedAlphabet("cadb"), Permutation.symmetric(4),
+               {"c": QuadNum(-1, 2, 3, 2), "a": QuadNum(0, 3, 5, 2), "d": QuadNum(1, 2, 3, 2),
+                "b": QuadNum(4, -1, 3, 2)}, QuadNum(1, 0, 2))
+FIXED = {**FILES, "shuffled": SHUFFLED}
+
+instances = st.one_of(st.sampled_from(sorted(FIXED)).map(FIXED.get), rational_iets())
 
 
 @st.composite
@@ -245,7 +256,7 @@ def test_check_keane_with_a_connection_at_a_block_edge(n):
 
 
 @settings(max_examples=100, deadline=None)
-@given(instances, st.integers(0, 60))
+@given(instances, st.integers(0, 10 * _K))
 def test_check_keane_matches_quadnum_orbits(iet, depth):
     verdict = iet.check_keane(depth)
     assert verdict == check_keane_oracle(iet, depth)
@@ -298,6 +309,98 @@ def test_scan_horizons_at_block_edges_and_cut_occurrences(name, w):
         horizons.update((s + k - 1, s + k))
     for horizon in sorted(horizons):
         same_outcome(lambda: iet.return_words_scan(w, horizon=horizon), lambda: scan_oracle(iet, w, horizon))
+
+
+# -- the block table against the cylinder-order refinement it replaced ------------
+
+
+def refine_oracle(iet: Iet, level: list[tuple]) -> list[tuple]:
+    """One step of the cylinder-order refinement: entries ``(w, lp, lq, hp,
+    hq)`` hold the whole image ``[lo, hi)`` of a word's cylinder, each word
+    is tested against every piece, and children follow their parent's
+    order, which is the order of their cylinders."""
+    _, d, _, rows = iet._grid
+    next_level = []
+    for w, lp, lq, hp, hq in level:
+        for c, rp, rq, tp, tq in rows:
+            if not _lt(lp - rp, lq - rq, d):
+                continue
+            if not _lt(rp - hp, rq - hq, d):
+                next_level.append((w + c, lp + tp, lq + tq, hp + tp, hq + tq))
+                break
+            next_level.append((w + c, lp + tp, lq + tq, rp + tp, rq + tq))
+            lp, lq = rp, rq
+    return next_level
+
+
+def oracle_levels(iet: Iet, n: int) -> list[list[tuple]]:
+    """Levels 0..n of the cylinder-order refinement."""
+    bounds = iet._grid[2]
+    levels = [[("", *bounds[0], *bounds[-1])]]
+    for _ in range(n):
+        levels.append(refine_oracle(iet, levels[-1]))
+    return levels
+
+
+def table_oracle(iet: Iet) -> tuple[list, ...]:
+    """``(lefts P, lefts Q, words, shifts, steps)`` from the cylinder-order
+    level ``_K``, read as the block table was read before it had ranges."""
+    tau = {c: (tp, tq) for c, _, _, tp, tq in iet._grid[3]}
+    lefts_p, lefts_q, words, shifts, steps = [], [], [], [], []
+    for w, lp, lq, _, _ in oracle_levels(iet, _K)[-1]:
+        sp = sq = 0
+        prefix = []
+        for c in w:
+            prefix.append((sp, sq))
+            sp, sq = sp + tau[c][0], sq + tau[c][1]
+        lefts_p.append(lp - sp)
+        lefts_q.append(lq - sq)
+        words.append(w)
+        shifts.append((sp, sq))
+        steps.append(tuple(prefix))
+    return lefts_p, lefts_q, words, shifts, steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances)
+def test_each_level_is_the_old_one_in_image_order(iet):
+    R, d = iet._grid[:2]
+    level = [("", *iet._grid[2][0])]
+    for old in oracle_levels(iet, _K + 2)[1:]:
+        level = iet._refine(level)
+        images = sorted(((w, lp, lq) for w, lp, lq, _, _ in old), key=lambda e: QuadNum(e[1], e[2], R, d))
+        assert level == images
+
+
+@pytest.mark.parametrize("name", sorted(FIXED) + ["rational"])
+def test_block_table_matches_the_old_table(name):
+    iet = FIXED.get(name, RATIONAL)
+    table = iet._blocks()
+    assert len(table) == 6
+    for field, expected in zip(table, table_oracle(iet)):
+        assert field == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_successor_ranges_hold_the_next_block(data):
+    """Each block's range is exactly the blocks that T^K of its cylinder
+    meets, found by a linear QuadNum search, and it holds the block of
+    T^K(x) for the left end and a drawn point x of the cylinder."""
+    iet = data.draw(instances)
+    lefts_p, lefts_q, words, shifts, _, successors = iet._blocks()
+    R, d = iet._grid[:2]
+    lefts = [QuadNum(P, Q, R, d) for P, Q in zip(lefts_p, lefts_q)]
+    cylinders = [Interval(a, b) for a, b in zip(lefts, lefts[1:] + [iet.domain.right])]
+    for i, (cyl, (sp, sq), (lo, hi)) in enumerate(zip(cylinders, shifts, successors)):
+        assert cyl == iet.cylinder(words[i])
+        shift = QuadNum(sp, sq, R, d)
+        image = cyl.translate(shift)
+        assert list(range(lo, hi)) == [j for j, other in enumerate(cylinders) if not image.intersect(other).is_empty]
+        m = data.draw(st.integers(1, 13))
+        for x in (cyl.left, cyl.left + cyl.length() * QuadNum(data.draw(st.integers(0, m - 1)), 0, m)):
+            y = x + shift
+            assert lo <= next(j for j, other in enumerate(cylinders) if other.contains(y)) < hi
 
 
 def twin(state: Iet) -> Iet:
