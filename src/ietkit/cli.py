@@ -46,6 +46,12 @@ from .words import OrderedAlphabet, Permutation
 # four letters).
 MAX_ORBIT_STEPS = 2_000_000
 MAX_LANGUAGE_LETTERS = 10**8
+# Budgets of the commands whose output outgrows their input: an explicit
+# `iet rauzy --steps` word (the coordinates gain about a tenth of a digit a
+# step, so time and output grow about quadratically; 4096 steps `rlrl...` on
+# golden.iet print 10 MB) and the letters that `morphism apply` prints.
+MAX_RAUZY_STEPS = 4096
+MAX_IMAGE_LETTERS = 10**8
 
 
 def _require_steps(what: str, steps: int) -> None:
@@ -210,7 +216,11 @@ def _cmd_morphism_apply(args) -> int:
     target_letters = sorted(set("".join(images.values())) | set(source.letters))
     target = source if set(target_letters) == set(source.letters) else OrderedAlphabet(target_letters)
     morphism = Morphism(source, target, images)
-    print(morphism(_word_arg(args.word)))
+    word = source.require(_word_arg(args.word))
+    letters = sum(word.count(c) * len(image) for c, image in morphism.images.items())
+    if letters > MAX_IMAGE_LETTERS:
+        raise ValueError(f"the image of the word would spell {letters} letters, more than {MAX_IMAGE_LETTERS}")
+    print(morphism(word))
     return 0
 
 
@@ -303,6 +313,8 @@ def _cmd_iet_rauzy(args) -> int:
         raise ValueError("--steps auto needs --word")
     if args.steps != "auto" and not set(args.steps) <= {"r", "l"}:
         raise ValueError(f"steps must be a word over 'r'/'l' or 'auto', got {args.steps!r}")
+    if args.steps != "auto" and len(args.steps) > MAX_RAUZY_STEPS:
+        raise ValueError(f"--steps has {len(args.steps)} steps, more than {MAX_RAUZY_STEPS}")
     iet = parse_iet_file(args.file)
     trace = induce_to_cylinder(iet, _word_arg(args.word), cap=args.cap) if args.steps == "auto" else None
     print("start:")

@@ -14,13 +14,14 @@ values are built from it on first read: every bound and translation lies in
 does every orbit point of a point on it.  The long loops (trajectories,
 connection search, return-word scans, first returns, language and cylinder
 refinement) run on the lattice, and so do Rauzy steps, whose states keep it.
+One rule places a finer point on the lattice refined by the least factor
+``m`` that holds it, and the loops read the instance's pairs times ``m``.
 A point is an integer pair ``(P, Q)`` that a step only adds to, an orbit hit
 is equality of pairs, and an order test is :func:`ietkit.arith._lt`, the
 integer sign test of ``a + b sqrt(d)`` behind every QuadNum comparison;
 nothing is rounded and no float is consulted, so the loops decide exactly
-what the QuadNum forms decide.  The Keane
-(no-connection) condition is only ever certified to a finite depth; nothing
-in this module claims full regularity.
+what the QuadNum forms decide.  The Keane (no-connection) condition is
+certified only to a finite depth; nothing here claims full regularity.
 
 Languages are enumerated by cylinder refinement, never by sampling
 trajectories: on a cylinder of the words of length k the k-th iterate is a
@@ -405,44 +406,47 @@ class Iet:
             self._table = (lefts_p, lefts_q, words, shifts, steps, [ranges[m] for m in order])
         return self._table
 
+    def _on_lattice(self, *values: QuadNum) -> tuple[int, int, list[tuple[int, int]]]:
+        """``(m, d, pairs)``: ``values`` on ``(1/(mR))(Z + Z sqrt(d))``, the least
+        ``m`` that holds them; a rational instance takes the first radicand it
+        meets, and another raises ``mismatched radicands: sqrt(value) vs sqrt(instance)``."""
+        R, d, _, _ = self._grid
+        S = R
+        for v in values:
+            if v.d and d and v.d != d:
+                raise _mismatch(v.d, d)
+            d = d or v.d
+            S = lcm(S, v.r)
+        return S // R, d, [_at(v, S) for v in values]
+
     def _walk(self, x: QuadNum) -> Iterator[tuple[int, int, int]]:
         """``(i, P, Q)`` for x, T^K(x), T^2K(x), ...: each point on the
-        lattice of the instance and of ``x``, with the index of the block
-        whose cylinder contains it.  The next ``_K`` letters of the orbit
-        are the block's word, and the next point's block is searched for in
-        the block's range only.  By the left-end lemma (``T^j`` would move
-        ``[x - e, x]`` onto ``[b - e, b]``, see :meth:`_refine`), that range
-        is cut only where orbits meet an interior bound within ``_K`` steps.
+        lattice refined by :meth:`_on_lattice` for ``x``, with the index of
+        the block whose cylinder contains it; the table is read times ``m``.
+        The next ``_K`` letters are the block's word, and the next point's
+        block is searched for in the block's range only.  By the left-end
+        lemma (``T^j`` would move ``[x - e, x]`` onto ``[b - e, b]``, see
+        :meth:`_refine`), that range is cut only where orbits meet an
+        interior bound within ``_K`` steps.
 
         ``x`` is located with :meth:`letter_at` first, so a point outside the
         domain or of another radicand raises as it does there.
         """
         self.letter_at(x)
-        R, d, _, _ = self._grid
         lefts_p, lefts_q, _, shifts, _, successors = self._blocks()
-        if x.q and d and x.d != d:
-            raise _mismatch(x.d, d)
-        d = d or x.d  # a rational instance takes the radicand of the point
-        m = lcm(R, x.r) // R
-        if m != 1:
-            lefts_p = [v * m for v in lefts_p]
-            lefts_q = [v * m for v in lefts_q]
-            shifts = [(tp * m, tq * m) for tp, tq in shifts]
-        n = R * m // x.r
-        P, Q = x.p * n, x.q * n
+        m, d, ((P, Q),) = self._on_lattice(x)
         lo, hi = 0, len(lefts_p)
         while True:
             # The last left end at or below the point; the first is the origin.
             while hi - lo > 1:
                 mid = (lo + hi) >> 1
-                if _lt(P - lefts_p[mid], Q - lefts_q[mid], d):
+                if _lt(P - lefts_p[mid] * m, Q - lefts_q[mid] * m, d):
                     hi = mid
                 else:
                     lo = mid
             yield lo, P, Q
             tp, tq = shifts[lo]
-            P += tp
-            Q += tq
+            P, Q = P + tp * m, Q + tq * m
             lo, hi = successors[lo]
 
     # -- dynamics -------------------------------------------------------------
@@ -541,40 +545,36 @@ class Iet:
     def first_return(self, sub: Interval, z: QuadNum, cap: int = 10_000) -> tuple[QuadNum, int]:
         """First re-entry of the orbit of ``z`` into ``sub``: (landing point, steps).
 
-        ``z`` and the ends of ``sub`` are tested and followed as pairs over the
-        lattice of the instance and their denominators; numbers of two radicands
-        are refused there, after the QuadNum tests that meet them first.
+        ``z`` and the ends of ``sub`` are followed as pairs from :meth:`_on_lattice`,
+        the rows read times its ``m``; two radicands are refused there, after
+        the QuadNum tests that meet them first.
         """
         if cap <= 0:
             raise ValueError("cap must be positive")
         outside = "the return interval must be a nonempty part of the domain"
         if sub.is_empty:
             raise ValueError(outside)
-        R, d, ((op, oq), *_, (ep, eq)), rows = self._grid
-        x, lo, hi = [QuadNum(v) if isinstance(v, int) else v for v in (z, sub.left, sub.right)]
-        for v in (x, lo, hi):
-            if v.q and d and v.d != d:
-                if not self.domain.contains_interval(sub):
-                    raise ValueError(outside)
-                if not sub.contains(z):
-                    raise ValueError(f"point {z} is not in the return interval {sub}")
-                raise _mismatch(v.d, d)
-            d = d or v.d
-        S = lcm(R, x.r, lo.r, hi.r)
-        if S != R:
-            rows = [(c, *(v * (S // R) for v in row)) for c, *row in rows]
-        (P, Q), (lp, lq), (hp, hq) = _at(x, S), _at(lo, S), _at(hi, S)
-        if _lt(lp * R - op * S, lq * R - oq * S, d) or _lt(ep * S - hp * R, eq * S - hq * R, d):
+        R, _, ((op, oq), *_, (ep, eq)), rows = self._grid
+        values = [QuadNum(v) if isinstance(v, int) else v for v in (z, sub.left, sub.right)]
+        try:
+            m, d, ((P, Q), (lp, lq), (hp, hq)) = self._on_lattice(*values)
+        except ValueError:
+            if not self.domain.contains_interval(sub):
+                raise ValueError(outside) from None
+            if not sub.contains(z):
+                raise ValueError(f"point {z} is not in the return interval {sub}") from None
+            raise
+        if _lt(lp - op * m, lq - oq * m, d) or _lt(ep * m - hp, eq * m - hq, d):
             raise ValueError(outside)
         if _lt(P - lp, Q - lq, d) or not _lt(P - hp, Q - hq, d):
             raise ValueError(f"point {z} is not in the return interval {sub}")
         for steps in range(1, cap + 1):
             for _, rp, rq, tp, tq in rows:
-                if _lt(P - rp, Q - rq, d):
+                if _lt(P - rp * m, Q - rq * m, d):
                     break
-            P, Q = P + tp, Q + tq
+            P, Q = P + tp * m, Q + tq * m
             if not _lt(P - lp, Q - lq, d) and _lt(P - hp, Q - hq, d):
-                return QuadNum(P, Q, S, d), steps
+                return QuadNum(P, Q, R * m, d), steps
         raise CapExceededError(f"no return to {sub} within {cap} steps from {z}")
 
     def return_words_scan(

@@ -1,6 +1,7 @@
 """CLI input handling: report bytes, environment variables, radicands, number
 literals and work budgets."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -23,8 +24,10 @@ from ietkit.cli import (
 )
 from ietkit.bwt import MAX_TRANSFORM_LETTERS
 from ietkit.instance import IetFileError
+from ietkit.morphisms import Morphism
 
 bwt_module = importlib.import_module("ietkit.bwt")
+cli_module = importlib.import_module("ietkit.cli")
 
 DATA = pathlib.Path(__file__).parent / "data"
 EXPECTED = DATA / "expected"
@@ -270,3 +273,57 @@ def test_a_transform_over_the_bound_prints_one_error_line(monkeypatch, capsys, a
     assert captured.err == (
         f"error: a transform of {OVER_TRANSFORM} letters is over the bound of {MAX_TRANSFORM_LETTERS} letters\n"
     )
+
+
+def test_a_rauzy_step_word_over_the_bound_is_refused(monkeypatch, capsys, golden_file):
+    """4097 typed steps are refused before the file is read or a step is taken."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("the step word should have been refused before any work")
+
+    for name in ("parse_iet_file", "rauzy_right", "rauzy_left"):
+        monkeypatch.setattr(cli_module, name, no_work)
+    assert main(["iet", "rauzy", golden_file, "--steps", "rl" * 2048 + "r"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --steps has 4097 steps, more than 4096\n"
+
+
+def test_a_rauzy_step_word_at_the_bound_prints_in_full(capsys):
+    """4096 steps on sqrt2_4 print all 3,868,902 bytes."""
+    assert main(["iet", "rauzy", str(DATA / "sqrt2_4.iet"), "--steps", "r" * 4096]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 3_868_902
+    assert hashlib.sha256(out).hexdigest() == "37656bf193d40ddfe6d7781da880c168556039b8752c80db6c454ec864a42949"
+
+
+@pytest.mark.parametrize("image, word, letters", [
+    ("a" * 10_000, "a" * 10_001, 100_010_000),
+    ("ab" * 5000, "a" * 10_000 + "b", 100_000_001),
+], ids=["square", "one-letter-over"])
+def test_a_morphism_image_over_the_bound_is_refused(monkeypatch, capsys, image, word, letters):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the image should have been refused before it was built")
+
+    monkeypatch.setattr(Morphism, "__call__", no_work)
+    assert main(["morphism", "apply", "--spec", f"a:{image},b:a", word]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the image of the word would spell {letters} letters, more than 100000000\n"
+
+
+def test_a_morphism_image_at_the_bound_prints_and_one_more_letter_is_refused(monkeypatch, capsys):
+    """With the bound lowered to 12 letters: 12 letters print, 13 are refused."""
+    monkeypatch.setattr(cli_module, "MAX_IMAGE_LETTERS", 12, raising=False)
+    assert main(["morphism", "apply", "--spec", "a:aba,b:ab,c:c", "ababb"]) == 0
+    assert capsys.readouterr().out == "abaababaabab\n"
+    assert main(["morphism", "apply", "--spec", "a:aba,b:ab,c:c", "ababbc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the image of the word would spell 13 letters, more than 12\n"
+
+
+def test_a_foreign_letter_is_named_before_the_image_is_counted(capsys):
+    assert main(["morphism", "apply", "--spec", f"a:{'ab' * 5000},b:a", "a" * 10_001 + "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: symbol 'x' is not in alphabet ab\n"

@@ -481,6 +481,22 @@ def test_first_return_matches_quadnum_steps(case):
     same_outcome(lambda: iet.first_return(sub, z, cap=cap), lambda: first_return_oracle(iet, sub, z, cap))
 
 
+@pytest.mark.parametrize("name", [*sorted(FIXED), "rational"])
+def test_orbits_from_points_off_the_instance_lattice(name):
+    """Cylinder midpoints, where a return-word scan starts, and thirds mostly
+    need the lattice refined by m = 2 or 3: the walk and the first return
+    read the instance's pairs times m where they compare and add."""
+    iet = FIXED.get(name, RATIONAL)
+    refined = 0
+    for w in sorted(iet.language(3) - {""}):
+        sub = iet.cylinder(w)
+        for z in (sub.midpoint(), sub.left + sub.length() * QuadNum(1, 0, 3)):
+            refined += iet._on_lattice(z)[0] > 1
+            assert iet.trajectory(z, 3 * _K + 5) == trajectory_oracle(iet, z, 3 * _K + 5)
+            assert iet.first_return(sub, z) == first_return_oracle(iet, sub, z, 10_000)
+    assert refined >= 3
+
+
 def q2(p, q, r=1, d=2):
     return QuadNum(p, q, r, d)
 
