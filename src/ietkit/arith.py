@@ -9,8 +9,8 @@ representations.  Every order decision, each comparison and
 ``a + b sqrt(d) < 0`` (``a^2`` against ``b^2 d`` when the parts differ in
 sign); a comparison applies it to the cross-multiplied coordinates
 ``(p1 r2 - p2 r1) + (q1 r2 - q2 r1) sqrt(d)`` and builds no difference
-object.  Sums and differences are computed from the coordinates directly and
-canonicalized once.  Floating point is never consulted except by
+object; a difference is those coordinates over ``r1 r2``.  Sums and
+differences are canonicalized once.  Floating point is never consulted except by
 :meth:`QuadNum.__float__`, which exists for display and sanity checks only.
 
 A single radicand ``d`` is shared by all numbers of one instance.  Purely
@@ -92,16 +92,8 @@ class QuadNum:
     __radd__ = __add__
 
     def __sub__(self, other) -> "QuadNum":
-        p, q, r, d = self.p, self.q, self.r, self.d
-        if isinstance(other, QuadNum):
-            if other.d != d and q and other.q:
-                raise _mismatch(d, other.d)
-            if other.r == r:
-                return QuadNum(p - other.p, q - other.q, r, d or other.d)
-            return QuadNum(p * other.r - other.p * r, q * other.r - other.q * r, r * other.r, d or other.d)
-        if isinstance(other, int):
-            return QuadNum(p - other * r, q, r, d)
-        return NotImplemented
+        c = self._diff(other)
+        return c if c is NotImplemented else QuadNum(*c)
 
     def __rsub__(self, other) -> "QuadNum":
         if isinstance(other, int):
@@ -135,35 +127,36 @@ class QuadNum:
         return -1 if _lt(self.p, self.q, self.d) else int(bool(self.p or self.q))
 
     def _diff(self, other):
-        """``(a, b, d)`` with ``a + b sqrt(d)`` a positive multiple of ``self - other``,
-        read from the cross-multiplied coordinates; no number is built."""
+        """``(a, b, r, d)`` with ``(a + b sqrt(d)) / r == self - other`` and
+        ``r > 0``, read from the cross-multiplied coordinates; no number is
+        built, so a comparison reads the sign of ``a + b sqrt(d)``."""
         if isinstance(other, QuadNum):
             q1, q2 = self.q, other.q
             if other.d != self.d and q1 and q2:
                 raise _mismatch(self.d, other.d)
             r1, r2 = self.r, other.r
             if r1 == r2:
-                return self.p - other.p, q1 - q2, self.d or other.d
-            return self.p * r2 - other.p * r1, q1 * r2 - q2 * r1, self.d or other.d
+                return self.p - other.p, q1 - q2, r1, self.d or other.d
+            return self.p * r2 - other.p * r1, q1 * r2 - q2 * r1, r1 * r2, self.d or other.d
         if isinstance(other, int):
-            return self.p - other * self.r, self.q, self.d
+            return self.p - other * self.r, self.q, self.r, self.d
         return NotImplemented
 
     def __lt__(self, other):
         c = self._diff(other)
-        return c if c is NotImplemented else _lt(*c)
+        return c if c is NotImplemented else _lt(c[0], c[1], c[3])
 
     def __le__(self, other):
         c = self._diff(other)
-        return c if c is NotImplemented else not _lt(-c[0], -c[1], c[2])
+        return c if c is NotImplemented else not _lt(-c[0], -c[1], c[3])
 
     def __gt__(self, other):
         c = self._diff(other)
-        return c if c is NotImplemented else _lt(-c[0], -c[1], c[2])
+        return c if c is NotImplemented else _lt(-c[0], -c[1], c[3])
 
     def __ge__(self, other):
         c = self._diff(other)
-        return c if c is NotImplemented else not _lt(*c)
+        return c if c is NotImplemented else not _lt(c[0], c[1], c[3])
 
     def __eq__(self, other):
         if isinstance(other, QuadNum):

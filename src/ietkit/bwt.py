@@ -190,8 +190,4 @@ def multiset_clustering_report(entries: Iterable[str], alphabet: OrderedAlphabet
 
 def multiset_parikh(entries: Iterable[str], alphabet: OrderedAlphabet) -> dict[str, int]:
     """Summed letter counts of a multiset."""
-    counts = dict.fromkeys(alphabet.letters, 0)
-    for w in entries:
-        for c, k in parikh(w, alphabet).items():
-            counts[c] += k
-    return counts
+    return parikh("".join(entries), alphabet)

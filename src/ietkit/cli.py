@@ -11,6 +11,7 @@ input, or a request over a work budget, is refused before any work with one
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -52,6 +53,10 @@ MAX_LANGUAGE_LETTERS = 10**8
 # golden.iet print 10 MB) and the letters that `morphism apply` prints.
 MAX_RAUZY_STEPS = 4096
 MAX_IMAGE_LETTERS = 10**8
+# Return words a `verify` report may hold, d for each word of the language:
+# over 100 times the benchmark's largest call (`verify --max-len 10` on
+# golden.iet, 120 words of three return words each).
+MAX_RETURN_SLOTS = 50_000
 
 
 def _require_steps(what: str, steps: int) -> None:
@@ -69,6 +74,16 @@ def _require_letters(what: str, iet: Iet, max_len: int) -> None:
     letters = (iet.d - 1) * n * (n + 1) * (2 * n + 1) // 6 + n * (n + 1) // 2
     if letters > MAX_LANGUAGE_LETTERS:
         raise ValueError(f"{what} would spell {letters} letters, more than {MAX_LANGUAGE_LETTERS}")
+
+
+def _require_slots(what: str, iet: Iet, max_len: int) -> None:
+    """Refuse, before any work, a ``verify`` report of more than
+    MAX_RETURN_SLOTS return words: d for each of the at most (d - 1) k + 1
+    words of each length k = 1..max_len."""
+    n = max(max_len, 0)
+    slots = iet.d * ((iet.d - 1) * n * (n + 1) // 2 + n)
+    if slots > MAX_RETURN_SLOTS:
+        raise ValueError(f"{what} would report {slots} return words, more than {MAX_RETURN_SLOTS}")
 
 
 # -- small shared helpers -----------------------------------------------------
@@ -91,27 +106,27 @@ def _cluster_payload(word_display: str, report: ClusteringReport) -> dict:
     }
 
 
-def _write_json(path: str | None, payload: dict) -> None:
-    if path is None:
-        return
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _print_with_json(lines: list[str], path: str | None, payload: dict) -> int:
+    """Print ``lines``, then write ``payload`` as JSON to ``path`` ('-' for
+    stdout, None for no record).  The file is opened before the first line
+    is printed, so a path that cannot be written prints only the error."""
+    to_file = path is not None and path != "-"
+    with open(path, "w", encoding="utf-8") if to_file else contextlib.nullcontext(sys.stdout) as handle:
+        print("\n".join(lines))
+        if path is not None:
+            handle.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    return 0
 
 
-def _print_cluster_report(report: ClusteringReport) -> None:
-    print(f"transform: {report.transform}")
-    print(f"blocks: {' '.join(report.block_order)}")
+def _cluster_lines(report: ClusteringReport) -> list[str]:
+    lines = [f"transform: {report.transform}", f"blocks: {' '.join(report.block_order)}"]
     if report.is_clustering:
         perm = report.permutation.one_line_letters(report.support)
-        print(f"clustering: yes (permutation {perm} on support {report.support})")
-        print(f"perfect: {'yes' if report.is_perfect else 'no'}")
+        lines.append(f"clustering: yes (permutation {perm} on support {report.support})")
+        lines.append(f"perfect: {'yes' if report.is_perfect else 'no'}")
     else:
-        print("clustering: no")
-        print("perfect: no")
+        lines += ["clustering: no", "perfect: no"]
+    return lines
 
 
 def _parse_source(text: str, alphabet_text: str | None, max_len: int):
@@ -155,8 +170,6 @@ def _orders_for(sample: LanguageSample, entries, source_pi, spec: str):
         if token == "pi":
             if source_pi is not None:
                 return order_from_permutation(source_pi, sample.alphabet)
-            if entries is None:
-                raise ValueError("the pi order needs a word source or an instance permutation")
             if len(entries) > 1:
                 report = multiset_clustering_report(entries, sample.alphabet)
             else:
@@ -176,31 +189,25 @@ def _orders_for(sample: LanguageSample, entries, source_pi, spec: str):
 
 def _cmd_bwt(args) -> int:
     report = clustering_report(args.word, OrderedAlphabet(args.alphabet))
-    print(f"transform: {report.transform}")
-    _write_json(args.json, _cluster_payload(args.word, report))
-    return 0
+    return _print_with_json([f"transform: {report.transform}"], args.json, _cluster_payload(args.word, report))
 
 
 def _cmd_ebwt(args) -> int:
     report = multiset_clustering_report(args.words, OrderedAlphabet(args.alphabet))
-    print(f"transform: {report.transform}")
-    _write_json(args.json, _cluster_payload(" ".join(args.words), report))
-    return 0
+    payload = _cluster_payload(" ".join(args.words), report)
+    return _print_with_json([f"transform: {report.transform}"], args.json, payload)
 
 
 def _cmd_ebwt_inverse(args) -> int:
     words = inverse_ebwt(args.string, OrderedAlphabet(args.alphabet))
-    print(f"words: {' '.join(words)}")
-    _write_json(args.json, {"input": args.string, "words": list(words)})
-    return 0
+    payload = {"input": args.string, "words": list(words)}
+    return _print_with_json([f"words: {' '.join(words)}"], args.json, payload)
 
 
 def _cmd_cluster(args) -> int:
     report = clustering_report(args.word, OrderedAlphabet(args.alphabet))
-    print(f"input: {args.word}")
-    _print_cluster_report(report)
-    _write_json(args.json, _cluster_payload(args.word, report))
-    return 0
+    lines = [f"input: {args.word}", *_cluster_lines(report)]
+    return _print_with_json(lines, args.json, _cluster_payload(args.word, report))
 
 
 def _cmd_morphism_apply(args) -> int:
@@ -408,6 +415,7 @@ def _cmd_verify(args) -> int:
     iet = parse_iet_file(args.file)
     _require_steps(f"--keane-depth {args.keane_depth}", (iet.d - 1) * args.keane_depth)
     _require_letters(f"--max-len {args.max_len}", iet, args.max_len)
+    _require_slots(f"--max-len {args.max_len}", iet, args.max_len)
     try:
         report = verify_return_words(iet, args.max_len, args.keane_depth, cap=args.cap, trace=args.trace)
     except KeaneCheckFailed as exc:

@@ -116,23 +116,15 @@ def orbit_words(diet: Diet, alphabet: OrderedAlphabet) -> tuple[str, ...]:
 
 
 def diet_cylinder(diet: Diet, w: str, alphabet: OrderedAlphabet) -> set[int]:
-    """Integers whose orbit coding starts with ``w``; the empty word gives all."""
-    if len(alphabet) != len(diet.composition):
-        raise ValueError("alphabet size does not match the number of parts")
-    alphabet.require(w)
-    letters = alphabet.letters
-    out = set()
-    for start in range(1, diet.n + 1):
-        k = start
-        ok = True
-        for c in w:
-            if letters[diet.block_of(k)] != c:
-                ok = False
-                break
-            k = diet.apply(k)
-        if ok:
-            out.add(start)
-    return out
+    """Integers whose orbit coding starts with ``w``; the empty word gives all.
+
+    These are the cells [k-1, k) inside the cylinder of ``w`` in
+    :func:`as_iet`, whose ends are integers.
+    """
+    cylinder = as_iet(diet, alphabet).cylinder(w)
+    if cylinder.is_empty:
+        return set()
+    return set(range(cylinder.left.p + 1, cylinder.right.p + 1))
 
 
 def diet_from_multiset(

@@ -4,6 +4,17 @@ import pytest
 
 from ietkit import Diet, Iet, OrderedAlphabet, Permutation, QuadNum
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # The same draws on every run and in every checkout: examples come from a
+    # hash of each test, and no example database carries draws between runs.
+    # `pytest --hypothesis-profile default --hypothesis-seed N` draws anew.
+    settings.register_profile("derandomized", derandomize=True, database=None)
+    settings.load_profile("derandomized")
+
 DATA = pathlib.Path(__file__).parent / "data"
 
 

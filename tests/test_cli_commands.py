@@ -1,6 +1,7 @@
 """CLI commands: each transform computed once, classify depth checked, no
-partial output from `iet returns`, and the same return words of ε by every
-method."""
+partial output from `iet returns` or from a `--json` path that cannot be
+written, the same return words of ε by every method, and the source, order
+and connection paths of `extgraph`, `classify` and `iet check`."""
 
 import importlib
 import pathlib
@@ -100,6 +101,12 @@ def test_diet_names_a_bad_composition(capsys, composition):
         (["cluster", "--alphabet", "", "banana"], "alphabet must contain at least one letter"),
         (["ebwt", "--alphabet", "abb", "ab"], "duplicate letter in alphabet 'abb'"),
         (["ebwt-inverse", "--alphabet", "", "ba"], "alphabet must contain at least one letter"),
+        (["extgraph", "--source", "abc", "--word", "a"],
+         "bad source 'abc', expected periodic:..., multiset:... or iet:..."),
+        (["classify", "--source", "foo:ab", "--depth", "1"], "unknown source kind 'foo'"),
+        (["classify", "--source", "multiset:,", "--depth", "1"], "empty multiset source"),
+        (["extgraph", "--source", "periodic:ab", "--word", "a", "--orders", "A"], "bad orders 'A', expected e.g. pi:A"),
+        (["morphism", "apply", "--spec", "a:ab,bc", "a"], "bad image 'bc', expected letter:word"),
     ],
 )
 def test_refused_input_prints_only_its_error_line(capsys, golden_file, argv, message):
@@ -151,3 +158,78 @@ def test_returns_prints_nothing_when_a_method_fails(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: horizon")
     assert captured.err.count("\n") == 1
+
+
+JSON_COMMANDS = {
+    "bwt": ["bwt", "--alphabet", "ab", "aab"],
+    "ebwt": ["ebwt", "--alphabet", "ab", "aab", "ab"],
+    "ebwt-inverse": ["ebwt-inverse", "--alphabet", "ab", "babaa"],
+    "cluster": ["cluster", "--alphabet", "ab", "aab"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_COMMANDS))
+def test_an_unwritable_json_path_prints_only_its_error_line(capsys, tmp_path, name):
+    target = tmp_path / "missing" / "x.json"
+    assert main([*JSON_COMMANDS[name], "--json", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("name", sorted(JSON_COMMANDS))
+def test_json_to_stdout_is_the_text_report_then_the_record(capsys, tmp_path, name):
+    argv = JSON_COMMANDS[name]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    record = tmp_path / "record.json"
+    assert main([*argv, "--json", str(record)]) == 0
+    assert capsys.readouterr().out == text
+    assert main([*argv, "--json", "-"]) == 0
+    assert capsys.readouterr().out == text + record.read_text(encoding="utf-8")
+
+
+def test_a_bad_input_is_named_before_an_unwritable_json_path(capsys, tmp_path):
+    assert main(["bwt", "--alphabet", "ab", "--json", str(tmp_path / "missing" / "x.json"), "abx"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: symbol 'x' is not in alphabet ab\n"
+
+
+def test_iet_check_reports_a_connection(capsys, tmp_path):
+    """With unit lengths and the reversal cba, the left end 1 of b is a
+    discontinuity of T and of its inverse: a connection of length 0."""
+    path = tmp_path / "unit_cba.iet"
+    path.write_text("alphabet = abc\npi = cba\nlen.a = (1)\nlen.b = (1)\nlen.c = (1)\n")
+    assert main(["iet", "check", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "alphabet: abc  pi: cba\n"
+        "lengths: a=(1) b=(1) c=(1)\n"
+        "domain: [(0), (3))\n"
+        "keane: 0-connection T^0((1)) = (1)\n"
+    )
+
+
+def test_the_pi_order_of_a_periodic_source(capsys):
+    """aabab clusters for the reversal ba, so pi orders the left letters b < a."""
+    assert main(["extgraph", "--source", "periodic:aabab", "--word", "a", "--orders", "pi:A"]) == 0
+    assert capsys.readouterr().out == (
+        "source: periodic:aabab\n"
+        "word: a\n"
+        "left (b < a): b a\n"
+        "right (a < b): a b\n"
+        "edges: (b,a) (b,b) (a,b)\n"
+        "tree: yes\n"
+        "forest: yes\n"
+        "compatible: yes\n"
+    )
+    assert main(["classify", "--source", "periodic:aabab", "--depth", "3", "--orders", "pi:A"]) == 0
+    assert capsys.readouterr().out == (
+        "source: periodic:aabab\n"
+        "checked words up to length 3 (bounded-depth verdicts)\n"
+        "dendric: no (witness: aba)\n"
+        "alsinic: yes\n"
+        "ordered_dendric: no (witness: aba)\n"
+        "ordered_alsinic: yes\n"
+    )

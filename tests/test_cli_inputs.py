@@ -19,6 +19,7 @@ from ietkit import Iet, OrderedAlphabet
 from ietkit.cli import (
     MAX_LANGUAGE_LETTERS,
     MAX_ORBIT_STEPS,
+    MAX_RETURN_SLOTS,
     main,
     parse_iet_file,
 )
@@ -155,6 +156,40 @@ def test_budgets_cover_the_benchmark_calls():
     assert MAX_ORBIT_STEPS >= 100 * 3 * 5000
     assert MAX_ORBIT_STEPS >= 100 * 3001
     assert MAX_LANGUAGE_LETTERS >= 100 * sum((3 * k + 1) * k for k in range(61))
+
+
+class Admitted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name, admitted, slots", [
+    ("golden.iet", 128, 50697),
+    ("sqrt2_4.iet", 90, 50596),
+])
+def test_verify_refuses_a_report_over_the_return_word_budget(monkeypatch, capsys, name, admitted, slots):
+    """d return words for each of the at most (d - 1) k + 1 words of length
+    k: the largest --max-len admitted runs, one more is refused before any
+    work with one line."""
+    def admit(*args, **kwargs):
+        raise Admitted
+
+    monkeypatch.setattr(cli_module, "verify_return_words", admit)
+    path = str(DATA / name)
+    with pytest.raises(Admitted):
+        main(["verify", path, "--max-len", str(admitted)])
+    assert main(["verify", path, "--max-len", str(admitted + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --max-len {admitted + 1} would report {slots} return words, more than {MAX_RETURN_SLOTS}\n"
+    )
+
+
+def test_the_return_word_budget_covers_the_benchmark_calls():
+    """`verify --max-len 10` on golden.iet reports 120 words of 3 return
+    words each, and `--max-len 6` on a four-letter exchange 69 of 4."""
+    assert MAX_RETURN_SLOTS >= 100 * 3 * sum(2 * k + 1 for k in range(1, 11))
+    assert MAX_RETURN_SLOTS >= 100 * 4 * sum(3 * k + 1 for k in range(1, 7))
 
 
 HUGE = str(10**12)

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ietkit import (
     Diet,
@@ -12,7 +13,9 @@ from ietkit import (
     diet_cylinder,
     diet_from_multiset,
     multiset_clustering_report,
+    multiset_parikh,
     orbit_words,
+    parikh,
 )
 from ietkit.verify import restricted_permutation
 
@@ -184,3 +187,91 @@ def test_orbit_words_read_each_block_once(monkeypatch):
     monkeypatch.setattr(Diet, "block_of", counted)
     assert orbit_words(diet, ABC) == ("aac", "ab", "ab")
     assert sorted(calls) == list(range(1, 8))
+
+
+def cylinder_oracle(diet, w, alphabet):
+    """The orbit loop that reading the exchange's cylinder replaced: each
+    integer's orbit followed letter by letter."""
+    if len(alphabet) != len(diet.composition):
+        raise ValueError("alphabet size does not match the number of parts")
+    alphabet.require(w)
+    letters = alphabet.letters
+    out = set()
+    for start in range(1, diet.n + 1):
+        k = start
+        ok = True
+        for c in w:
+            if letters[diet.block_of(k)] != c:
+                ok = False
+                break
+            k = diet.apply(k)
+        if ok:
+            out.add(start)
+    return out
+
+
+@st.composite
+def cylinder_cases(draw):
+    """A discrete exchange of up to five parts of at most 9 points, an
+    alphabet of its size or (rarely) one letter more or less, and a word of
+    up to 4 letters that may hold a foreign symbol."""
+    d = draw(st.integers(1, 5))
+    parts = draw(st.lists(st.integers(1, 9), min_size=d, max_size=d))
+    pi = Permutation(draw(st.permutations(range(d))))
+    size = draw(st.sampled_from([d] * 8 + [max(1, d - 1), d + 1]))
+    alphabet = OrderedAlphabet("abcdef"[:size])
+    w = draw(st.text(alphabet="abcdefx", max_size=4))
+    return Diet(parts, pi), w, alphabet
+
+
+def outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(cylinder_cases())
+def test_cylinder_matches_the_orbit_loop(case):
+    diet, w, alphabet = case
+    assert outcome(lambda: diet_cylinder(diet, w, alphabet)) == outcome(lambda: cylinder_oracle(diet, w, alphabet))
+
+
+@pytest.mark.parametrize("parts, pi, letters, w, expected", [
+    ([4, 2, 1], "cba", "abc", "", set(range(1, 8))),
+    ([4, 2, 1], "cba", "abc", "cc", set()),
+    ([4, 2, 1], "cba", "abc", "aacaa", {1}),
+    ([2, 3], "ab", "ab", "bbbb", {3, 4, 5}),
+    ([4, 2, 1], "cba", "abc", "abx", "ValueError: symbol 'x' is not in alphabet abc"),
+    ([4, 2, 1], "cba", "abc", "xyz", "ValueError: symbol 'x' is not in alphabet abc"),
+    ([4, 2, 1], "cba", "abcd", "ab", "ValueError: alphabet size does not match the number of parts"),
+    ([4, 2, 1], "cba", "ab", "x", "ValueError: alphabet size does not match the number of parts"),
+], ids=["empty", "outside-language", "long", "identity", "foreign", "foreign-first", "size", "size-first"])
+def test_cylinder_pins_and_its_errors(parts, pi, letters, w, expected):
+    """The size check comes before the symbol check, as in the orbit loop."""
+    diet = Diet(parts, Permutation.from_one_line_letters(pi, OrderedAlphabet("abcd"[: len(parts)])))
+    alphabet = OrderedAlphabet(letters)
+    assert outcome(lambda: diet_cylinder(diet, w, alphabet)) == expected
+    assert outcome(lambda: cylinder_oracle(diet, w, alphabet)) == expected
+
+
+def summed_parikh(entries, alphabet):
+    counts = dict.fromkeys(alphabet.letters, 0)
+    for w in entries:
+        for c, k in parikh(w, alphabet).items():
+            counts[c] += k
+    return counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(alphabet="abcx", max_size=5), max_size=5))
+def test_multiset_parikh_sums_the_parikh_vectors(entries):
+    """The same counts, and on a foreign symbol the same message naming the
+    first one in word order."""
+    assert outcome(lambda: multiset_parikh(entries, ABC)) == outcome(lambda: summed_parikh(entries, ABC))
+
+
+def test_multiset_parikh_names_the_first_foreign_symbol():
+    with pytest.raises(ValueError, match=r"^symbol 'y' is not in alphabet abc$"):
+        multiset_parikh(["ab", "cay", "x"], ABC)

@@ -528,6 +528,10 @@ GOLDEN_B = FILES["golden.iet"].cylinder("b")
     ("rational", Interval(QuadNum(1), QuadNum(3)), QuadNum(0, 1, 1, 3), 50),
     ("rational", Interval(q2(0, 1), QuadNum(3)), QuadNum(2), 50),
     ("rational", Interval(q2(0, 1), q2(1, 1)), q2(1, 2, 2), 50),
+    # a rational exchange given a sqrt(2) end and a sqrt(3) end: an interval
+    # that leaves the domain, and a rational point outside the interval
+    ("rational", Interval(q2(0, 1), QuadNum(33, 1, 1, 3)), QuadNum(2), 50),
+    ("rational", Interval(q2(0, 1), QuadNum(0, 1, 1, 3)), QuadNum(0), 50),
 ])
 def test_first_return_keeps_its_errors_and_their_order(name, sub, z, cap):
     iet = FILES.get(name, RATIONAL)
@@ -537,6 +541,17 @@ def test_first_return_keeps_its_errors_and_their_order(name, sub, z, cap):
 def test_first_return_of_a_rational_exchange_refuses_two_radicands():
     sub, z = Interval(q2(0, 1), QuadNum(3)), QuadNum(0, 1, 1, 3)
     with pytest.raises(ValueError, match=r"^mismatched radicands: sqrt\(2\) vs sqrt\(3\)$"):
+        RATIONAL.first_return(sub, z)
+
+
+def test_first_return_refuses_a_rational_point_between_two_radicands():
+    """3/2 lies in [sqrt(2), sqrt(3)), and the QuadNum loop lands; the
+    lattice holds one radicand, so the point is refused with the pair the
+    placement meets, as the docstring states."""
+    sub, z = Interval(q2(0, 1), QuadNum(0, 1, 1, 3)), QuadNum(3, 0, 2)
+    landing, _ = first_return_oracle(RATIONAL, sub, z, 10_000)
+    assert sub.contains(landing)
+    with pytest.raises(ValueError, match=r"^mismatched radicands: sqrt\(3\) vs sqrt\(2\)$"):
         RATIONAL.first_return(sub, z)
 
 
