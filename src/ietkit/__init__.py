@@ -41,6 +41,7 @@ from .iet import (
     Interval,
     Iet,
     KeaneVerdict,
+    Language,
 )
 from .morphisms import (
     Morphism,
@@ -90,6 +91,7 @@ __all__ = [
     "InductionTrace",
     "Interval",
     "KeaneVerdict",
+    "Language",
     "LanguageSample",
     "Morphism",
     "OrderedAlphabet",

@@ -296,12 +296,7 @@ def _cmd_iet_traj(args) -> int:
 def _cmd_iet_language(args) -> int:
     iet = parse_iet_file(args.file)
     _require_letters(f"--max-len {args.max_len}", iet, args.max_len)
-    words = iet.language(args.max_len)
-    by_len: dict[int, list[str]] = {}
-    for w in words:
-        by_len.setdefault(len(w), []).append(w)
-    for k in sorted(by_len):
-        row = sorted(by_len[k], key=iet.alphabet.key)
+    for k, row in enumerate(iet.language(args.max_len).by_length):
         label = " ".join(row) if k else "ε"
         print(f"length {k} ({len(row)}): {label}")
     return 0

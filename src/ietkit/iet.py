@@ -28,7 +28,11 @@ trajectories: on a cylinder of the words of length k the k-th iterate is a
 single translation, and the images of these cylinders tile the domain.  Kept
 in image order, one length becomes the next by cutting it at the d - 1
 interior bounds, one binary search each, so no factor can be missed and no
-word is compared on its own.
+word is compared on its own.  The alphabet order of each length is carried
+along by the children rule: cyl(wc) lies in cyl(w), T^k is one translation
+there and the pieces are in alphabet order, so the children of cyl(w) run
+left to right in letter order, and the order of length k + 1 is that of
+length k with each word replaced by its children in letter order.
 
 Orbits are read a block of ``_K`` letters at a time.  The cylinders of the
 words of length K are intervals that tile the domain, at most
@@ -49,7 +53,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from collections.abc import Iterator, Mapping
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from math import lcm
 
 from .arith import QuadNum, _lt, _mismatch
@@ -170,6 +174,28 @@ class KeaneVerdict:
     @property
     def is_regular(self) -> bool:
         return self.failure is None
+
+
+class Language(frozenset):
+    """The factors of an exchange up to a length, as a frozenset of words.
+
+    ``by_length`` holds one tuple per length ``0..n``, each in the alphabet
+    order of its words.
+    """
+
+    __slots__ = ("by_length",)
+
+    def __new__(cls, by_length):
+        # The set takes each row as the refinement makes it, so its table
+        # grows while the levels are built, not after every row is held.
+        rows = []
+        self = super().__new__(cls, chain.from_iterable(rows.append(row) or row for row in by_length))
+        self.by_length = tuple(rows)
+        return self
+
+    def __reduce__(self):
+        # frozenset's own reduction would pass the words where __new__ takes the rows.
+        return Language, (self.by_length,)
 
 
 class Iet:
@@ -323,46 +349,93 @@ class Iet:
 
     # -- lattice loops -----------------------------------------------------------
 
-    def _refine(self, level: list[tuple[str, int, int]]) -> list[tuple[str, int, int]]:
-        """The words one letter longer than those of ``level``, in image order.
+    def _cuts(self, level: list[tuple[str, int, int]]) -> list[tuple[int, int]]:
+        """The range ``[first, hi)`` of the entries of ``level`` whose images
+        meet each piece, in alphabet order, for :meth:`_refine`.
+
+        The level is cut at each interior bound, found by one binary search;
+        an image that straddles the bound is in the ranges of both sides.
+        """
+        _, d, bounds, _ = self._grid
+        cuts, first, size = [], 0, len(level)
+        for bp, bq in bounds[1:-1]:
+            lo, hi = first, size
+            while lo < hi:  # past the last entry whose left end is at most the bound
+                mid = (lo + hi) >> 1
+                if _lt(bp - level[mid][1], bq - level[mid][2], d):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            cuts.append((first, lo - (level[lo - 1][1:] == (bp, bq))))  # no straddle
+            first = lo - 1
+        cuts.append((first, size))
+        return cuts
+
+    def _refine(
+        self, level: list[tuple[str, int, int]], cuts: list[tuple[int, int]] | None = None
+    ) -> list[tuple[str, int, int]]:
+        """The words one letter longer than those of ``level``, in image order;
+        ``cuts`` are those of :meth:`_cuts`, computed when not given.
 
         An entry ``(w, P, Q)`` is a word with the left end of
         ``T^|w|(cyl(w))`` on the lattice.  The images of one length tile the
         domain, so a level in image order is sorted by left end and each
         image ends where the next begins.  The level is cut at each interior
-        bound, found by one binary search; an image that straddles the bound
-        gives an entry to each side, the right one starting at the bound.
-        The part in the piece of ``c``, extended by ``c`` and moved by its
-        translation, tiles the image piece of ``c``, so the parts concatenate
-        in image order.  The cuts obey the left-end lemma: if ``T^j(x)`` is an
-        interior bound ``b`` with ``j < k``, then ``x`` is the left end of its
-        cylinder of length ``k``, or ``T^j`` would move some ``[x - e, x]``
-        inside it onto ``[b - e, b]``, which meets two pieces.
+        bound; an image that straddles the bound gives an entry to each side,
+        the right one starting at the bound.  The part in the piece of ``c``,
+        extended by ``c`` and moved by its translation, tiles the image piece
+        of ``c``, so the parts concatenate in image order.  The cuts obey the
+        left-end lemma: if ``T^j(x)`` is an interior bound ``b`` with
+        ``j < k``, then ``x`` is the left end of its cylinder of length ``k``,
+        or ``T^j`` would move some ``[x - e, x]`` inside it onto
+        ``[b - e, b]``, which meets two pieces.
         """
-        _, d, bounds, rows = self._grid
-        parts, first, size = {}, 0, len(level)
-        for k, (c, _, _, tp, tq) in enumerate(rows):
-            (lp, lq), (bp, bq) = bounds[k], bounds[k + 1]
-            lo = hi = size
-            if k + 1 < len(rows):
-                lo = first
-                while lo < hi:  # past the last entry whose left end is at most the bound
-                    mid = (lo + hi) >> 1
-                    if _lt(bp - level[mid][1], bq - level[mid][2], d):
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                hi -= level[lo - 1][1:] == (bp, bq)  # no straddle
+        _, _, bounds, rows = self._grid
+        parts = {}
+        for (c, _, _, tp, tq), (lp, lq), (first, hi) in zip(rows, bounds, cuts or self._cuts(level)):
             parts[c] = [(level[first][0] + c, lp + tp, lq + tq)]
             parts[c] += [(w + c, P + tp, Q + tq) for w, P, Q in level[first + 1 : hi]]
-            first = lo - 1
         return [e for c in self._image_letters for e in parts[c]]
+
+    def _levels(self, n: int) -> Iterator[tuple[list[tuple[str, int, int]], list[int]]]:
+        """``(level, order)`` for the words of lengths ``0..n``: the level of
+        :meth:`_refine`, in image order, and the indices of its entries in the
+        alphabet order of their words.
+
+        The order is carried by the children rule: the children ``cyl(wc)``
+        of ``cyl(w)`` run left to right in letter order, so the next order is
+        this one with each entry replaced by its children in letter order.
+        The part of piece ``c`` starts at its offset in the next level, so
+        the child in ``c`` of entry ``i`` of its range ``[first, hi)`` sits at
+        ``offset(c) + i - first``.
+        """
+        letters, image = self._alphabet.letters, self._image_letters
+        level, order = [("", *self._grid[2][0])], [0]
+        yield level, order
+        for _ in range(n):
+            cuts = self._cuts(level)
+            size = dict(zip(letters, (hi - first for first, hi in cuts)))
+            offset = dict(zip(image, accumulate(map(size.get, image), initial=0)))
+            shifts = [offset[c] - first for c, (first, _) in zip(letters, cuts)]
+            # Each entry's child in the first piece it meets: earlier pieces write last.
+            child = [0] * len(level)
+            for (first, hi), shift in reversed(list(zip(cuts, shifts))):
+                child[first:hi] = range(first + shift, hi + shift)
+            order = [child[i] for i in order]
+            # The entry that starts a range and ends the one before straddles
+            # their bound: its child in the right piece follows the left one.
+            for k, (i, _) in enumerate(cuts[1:], 1):
+                if i < cuts[k - 1][1]:
+                    order.insert(order.index(i + shifts[k - 1]) + 1, i + shifts[k])
+            level = self._refine(level, cuts)
+            yield level, order
 
     def _blocks(self) -> tuple[list[int], list[int], list[str], list[tuple], list[tuple], list[tuple]]:
         """The block table: ``(lefts P, lefts Q, words, shifts, steps, successors)``.
 
         One entry per cylinder of the words of length ``_K``, in left-end
-        order, which is the alphabet order of the words: the left end on the
+        order, which is the alphabet order of the words that
+        :meth:`_levels` carries by the children rule: the left end on the
         lattice, the word, the translation of T^K on it, the ``_K`` prefix
         sums of the word's translations (the first is zero; the point ``j``
         letters into the block is its start plus ``steps[i][j]``), and the
@@ -374,12 +447,10 @@ class Iet:
         never walk orbits.
         """
         if self._table is None:
-            _, d, bounds, rows = self._grid
-            level = [("", *bounds[0])]
-            for _ in range(_K):
-                level = self._refine(level)
+            _, d, _, rows = self._grid
+            for level, order in self._levels(_K):
+                pass
             tau = {c: (tp, tq) for c, _, _, tp, tq in rows}
-            order = sorted(range(len(level)), key=lambda m: self._alphabet.key(level[m][0]))
             lefts_p, lefts_q, words, shifts, steps = [], [], [], [], []
             for m in order:
                 w, lp, lq = level[m]
@@ -530,17 +601,16 @@ class Iet:
             lp, lq, hp, hq, sp, sq = lp + tp, lq + tq, hp + tp, hq + tq, sp + tp, sq + tq
         return Interval(QuadNum(lp - sp, lq - sq, R, d), QuadNum(hp - sp, hq - sq, R, d))
 
-    def language(self, n: int) -> set[str]:
-        """All factors of length <= n, by exact cylinder refinement."""
+    def language(self, n: int) -> Language:
+        """All factors of length <= n, by exact cylinder refinement.
+
+        ``by_length`` lists each length in alphabet order, carried by the
+        children rule (the children ``cyl(wc)`` of ``cyl(w)`` run left to
+        right in letter order, see :meth:`_levels`), so no word is sorted.
+        """
         if n < 0:
             raise ValueError("maximal length must be nonnegative")
-        _, _, bounds, _ = self._grid
-        words: set[str] = {""}
-        level = [("", *bounds[0])]
-        for _ in range(n):
-            level = self._refine(level)
-            words.update(w for w, *_ in level)
-        return words
+        return Language(tuple(level[i][0] for i in order) for level, order in self._levels(n))
 
     def first_return(self, sub: Interval, z: QuadNum, cap: int = 10_000) -> tuple[QuadNum, int]:
         """First re-entry of the orbit of ``z`` into ``sub``: (landing point, steps).

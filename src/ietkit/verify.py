@@ -108,7 +108,7 @@ def verify_return_words(
         )
     alphabet = iet.alphabet
     key = lambda w: (len(w), alphabet.key(w))
-    words = sorted((w for w in iet.language(max_len) if w), key=key)
+    words = [w for row in iet.language(max_len).by_length[1:] for w in row]
     failures: list[Failure] = []
     records: list[WordRecord] = []
     # A return word of several factors is checked once.

@@ -381,6 +381,48 @@ def test_block_table_matches_the_old_table(name):
         assert field == expected
 
 
+def sorted_table_oracle(iet: Iet) -> tuple[list, ...]:
+    """The block table with level ``_K`` of the image-order refinement put
+    in alphabet order by sorting its words with the alphabet's key."""
+    _, d, bounds, rows = iet._grid
+    level = [("", *bounds[0])]
+    for _ in range(_K):
+        level = iet._refine(level)
+    tau = {c: (tp, tq) for c, _, _, tp, tq in rows}
+    order = sorted(range(len(level)), key=lambda m: iet.alphabet.key(level[m][0]))
+    lefts_p, lefts_q, words, shifts, steps = [], [], [], [], []
+    for m in order:
+        w, lp, lq = level[m]
+        sp = sq = 0
+        prefix = []
+        for c in w:
+            prefix.append((sp, sq))
+            sp, sq = sp + tau[c][0], sq + tau[c][1]
+        lefts_p.append(lp - sp)
+        lefts_q.append(lq - sq)
+        words.append(w)
+        shifts.append((sp, sq))
+        steps.append(tuple(prefix))
+    firsts, j = [], 0
+    for _, lp, lq in level:
+        while j + 1 < len(level) and not _lt(lp - lefts_p[j + 1], lq - lefts_q[j + 1], d):
+            j += 1
+        firsts.append(j)
+    tops = [j + ((lefts_p[j], lefts_q[j]) != e[1:]) for j, e in zip(firsts[1:], level[1:])]
+    ranges = list(zip(firsts, tops + [len(level)]))
+    return lefts_p, lefts_q, words, shifts, steps, [ranges[m] for m in order]
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances)
+def test_block_words_come_in_alphabet_order(iet):
+    """The carried order of level ``_K`` is the order the key sort gave."""
+    table = iet._blocks()
+    keys = [iet.alphabet.key(w) for w in table[2]]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert table == sorted_table_oracle(iet)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_successor_ranges_hold_the_next_block(data):
