@@ -82,8 +82,17 @@ class Diet:
 
 
 def diet_action(diet: Diet) -> Permutation:
-    """The action on {1..n} as a permutation (0-based internally)."""
-    return Permutation(diet.apply(k) - 1 for k in range(1, diet.n + 1))
+    """The action on {1..n} as a permutation (0-based internally).
+
+    Block i holds the integers start + 1 .. start + n_i and shifts them by
+    t_i, so its 0-based images are one run, range(start + t_i, start + n_i + t_i).
+    """
+    images: list[int] = []
+    start = 0
+    for part, shift in zip(diet.composition, diet.shifts):
+        images.extend(range(start + shift, start + part + shift))
+        start += part
+    return Permutation(images)
 
 
 def orbit_words(diet: Diet, alphabet: OrderedAlphabet) -> tuple[str, ...]:

@@ -15,31 +15,35 @@ reports say so; for a periodic word of period p, depth p + 2 already decides
 the classification because factors recur with period p.  Word sources refuse
 a depth whose factors would exceed ``MAX_SAMPLE_LETTERS`` letters.
 
-``classify`` makes one pass per length k.  It reads the words of length
-k + 1 once to find, for each word v of length k, its left letter and its
-right letter when there is only one of each.  A word with a single left
-letter a, a single right letter b, avb in the sample, a in the first order
-and b in the second has a one-edge extension graph: a tree, so a forest, and
-compatible, since one edge cannot cross itself and both its ends are ranked.
-Such a word fails no flag and raises nothing, so only the remaining
-(special) words get an extension graph, and the verdicts, witnesses and
-missing-vertex errors are those of checking every word.  A foreign symbol is
+``classify`` decides the words of each length k in turn.  A word v with a
+single left letter a, a single right letter b, avb in the sample, a in the
+first order and b in the second has a one-edge extension graph: a tree, so a
+forest, and compatible, since one edge cannot cross itself and both its ends
+are ranked.  Such a word fails no flag and raises nothing, so only the
+remaining (special) words get an extension graph, and the verdicts,
+witnesses and missing-vertex errors are those of checking every word.
+Deciding a word takes 2|A| + 1 membership lookups.  A foreign symbol is
 named as the least one by code point, whatever the hash order of the sample.
 
 A sample marked ``bi_infinite`` holds every factor, up to its depth, of a set
 of two-sided infinite words; the word sources and ``sample_from_iet`` mark
 theirs (an interval exchange is a bijection, so its words extend on both
 sides).  In such a language every suffix of a right-special word is
-right-special and every prefix of a left-special word is left-special, and a
-word v with one left letter a and one right letter b has avb in it.  So once
-a length has no special word, no longer word is special, and each one has a
-single edge whose letters are those of its prefix and suffix of that length,
-already ranked: ``classify`` stops there, with every word up to its depth
+right-special and every prefix of a left-special word is left-special
+(Berthé, De Felice, Dolce, Leroy, Perrin, Reutenauer and Rindone, *Acyclic,
+connected and tree sets*, 2015), and a word v with one left letter a and one
+right letter b has avb in it.  So the words of length k + 1 that ``classify``
+decides are grown from the special words s of length k: a + s for each left
+letter a of a right-special s, and s + b for each right letter b of a
+left-special s.  That is at most 2|A| words per special word, where checking
+every word reads the whole level; an exchange of d intervals has at most
+d - 1 right-special and d - 1 left-special words per length.  Once a length has no special word,
+nothing grows and ``classify`` stops there, with every word up to its depth
 still decided.  Every symbol of such a sample is a one-letter word, so
 foreign symbols are looked for at lengths 0 and 1 only.  A sample built by
-hand gets every length checked.  An aperiodic exchange has a special factor
-at every length, so its samples never stop early; periodic words stop past
-their last special factor.
+hand gets every word of every length decided.  An aperiodic exchange has a
+special factor at every length, so its samples never stop early; periodic
+words stop past their last special factor.
 """
 
 from __future__ import annotations
@@ -149,7 +153,7 @@ def sample_from_iet(iet: Iet, max_len: int, label: str = "iet") -> LanguageSampl
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     return LanguageSample(
-        words=frozenset(iet.language(max_len)),
+        words=iet.language(max_len),
         max_len=max_len,
         alphabet=iet.alphabet,
         source=label,
@@ -182,24 +186,22 @@ def extension_graph(sample: LanguageSample, v: str) -> ExtensionGraph:
 
 
 def _forest_and_tree(graph: ExtensionGraph) -> tuple[bool, bool]:
-    """(forest, tree) from one union-find pass: acyclic when edges ==
-    vertices - components, a tree when also connected."""
-    nodes = [("L", a) for a in graph.left] + [("R", b) for b in graph.right]
-    parent = {node: node for node in nodes}
+    """(forest, tree) from one union-find pass over the edges: a forest when
+    no edge meets two vertices already connected.  Each edge is then one
+    join, leaving vertices - edges components, so a tree when that is 1."""
+    parent: dict[str, str] = {}
 
     def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
+        while x in parent:
             x = parent[x]
         return x
 
     for a, b in graph.edges:
-        ra, rb = find(("L", a)), find(("R", b))
-        if ra != rb:
-            parent[ra] = rb
-    components = len({find(node) for node in nodes})
-    forest = len(graph.edges) == len(nodes) - components
-    return forest, forest and components == 1
+        ra, rb = find("<" + a), find(">" + b)
+        if ra == rb:
+            return False, False
+        parent[ra] = rb
+    return True, len(graph.left) + len(graph.right) - len(graph.edges) == 1
 
 
 def is_forest(graph: ExtensionGraph) -> bool:
@@ -278,16 +280,17 @@ def classify(
 ) -> ClassifyReport:
     """Check every word of length <= up_to; all verdicts are depth-bounded.
 
-    One pass per length k (see the module docstring): the words of length
-    k + 1 give each word of length k its single left and right letter, the
-    words whose extension graph is then one ranked edge pass every check,
-    and the rest get an extension graph each, in alphabet order.  On a
-    ``bi_infinite`` sample the passes stop at the first length with no
-    special word, since no longer word is special.  Witnesses are the first
-    failing words in (length, alphabet) order.  A foreign symbol in a word
-    checked raises, naming the least such symbol by code point, and an
-    order that lacks a vertex raises as checking every word in that order
-    would.
+    One pass per length k (see the module docstring): each word decided is
+    looked up with each letter on either side, the words whose extension
+    graph is then one ranked edge pass every check, and the rest get an
+    extension graph each, in alphabet order.  A ``bi_infinite`` sample
+    decides at length k + 1 only the words grown from the special words of
+    length k, O(#special * |A|) of them, and stops at the first length with
+    no special word, since no longer word is special; a sample built by hand
+    decides every word of every length.  Witnesses are the first failing
+    words in (length, alphabet) order.  A foreign symbol in a word checked
+    raises, naming the least such symbol by code point, and an order that
+    lacks a vertex raises as checking every word in that order would.
     """
     if up_to < 0:
         raise ValueError(f"classification depth must be nonnegative, got {up_to}")
@@ -298,38 +301,36 @@ def classify(
         )
     words = sample.words
     alphabet = sample.alphabet
-    letters = set(alphabet.letters)
+    letters = alphabet.letters
+    grows = sample.bi_infinite
+    # Every symbol of a bi-infinite sample is a one-letter word.
+    scanned = min(up_to, 1) if grows else up_to
     by_length: list[list[str]] = [[] for _ in range(up_to + 2)]
     for w in words:
-        if len(w) <= up_to + 1:
+        if len(w) <= scanned:
             by_length[len(w)].append(w)
-    # Every symbol of a bi-infinite sample is a one-letter word.
-    scanned = by_length[: min(up_to, 1) + 1] if sample.bi_infinite else by_length[: up_to + 1]
-    foreign = set().union(*map("".join, scanned)) - letters
+    foreign = set().union(*map("".join, by_length)) - set(letters)
     if foreign:
         raise ValueError(f"symbol {min(foreign)!r} is not in alphabet {alphabet}")
     rank1, rank2 = _ranks(order1), _ranks(order2)
     flags = dict.fromkeys(("dendric", "alsinic", "ordered_dendric", "ordered_alsinic"), True)
     witnesses: dict[str, str] = {}
+    level = [w for w in ("",) if w in words]
     for k in range(up_to + 1):
-        # The left (right) letter of each word of length k, or "" when it has several.
-        left: dict[str, str] = {}
-        right: dict[str, str] = {}
-        for u in by_length[k + 1]:
-            a, b = u[0], u[-1]
-            if a in letters:
-                v = u[1:]
-                left[v] = "" if v in left else a
-            if b in letters:
-                v = u[:-1]
-                right[v] = "" if v in right else b
         special = []
-        for v in by_length[k]:
-            a, b = left.get(v), right.get(v)
-            if not (a and b and a in rank1 and b in rank2 and a + v + b in words):
+        for v in level:
+            left = [a for a in letters if a + v in words]
+            right = [b for b in letters if v + b in words]
+            if not (
+                len(left) == len(right) == 1
+                and left[0] in rank1
+                and right[0] in rank2
+                and left[0] + v + right[0] in words
+            ):
                 special.append(v)
-        if not special and sample.bi_infinite:
+        if not special and grows:
             break
+        grown: set[str] = set()
         for v in sorted(special, key=alphabet.key):
             graph = extension_graph(sample, v)
             forest, tree = _forest_and_tree(graph)
@@ -339,4 +340,9 @@ def classify(
                 if flags[flag] and not ok:
                     flags[flag] = False
                     witnesses[flag] = v
+            if len(graph.right) > 1:
+                grown.update(a + v for a in graph.left)
+            if len(graph.left) > 1:
+                grown.update(v + b for b in graph.right)
+        level = grown if grows else by_length[k + 1]
     return ClassifyReport(**flags, checked_up_to=up_to, witnesses=witnesses)

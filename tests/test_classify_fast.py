@@ -16,10 +16,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ietkit import (  # noqa: E402
+    ExtensionGraph,
     LanguageSample,
     OrderedAlphabet,
     classify,
     extension_graph,
+    is_forest,
+    is_tree,
     order_from_permutation,
     sample_from_iet,
     sample_from_multiset,
@@ -410,6 +413,18 @@ def test_a_hand_built_sample_gets_every_length():
     assert marked.alsinic and marked.witnesses == {"dendric": "", "ordered_dendric": ""}
 
 
+@pytest.mark.parametrize(
+    "words",
+    [frozenset(), frozenset({"a", "b", "ab", "ba", "aba", "bab"})],
+    ids=["empty", "no-empty-word"],
+)
+def test_a_marked_sample_without_the_empty_word_gets_the_unmarked_report(words):
+    # The factors of ...abab... without the empty word: a graph of "" would
+    # be a square with two edges, not a tree, and only the check of "" fails.
+    sample = LanguageSample(words=words, max_len=3, alphabet=AB, source="hand", bi_infinite=True)
+    assert_stop_changes_nothing(sample, "ab", "ab", 1)
+
+
 def test_a_foreign_symbol_of_a_bi_infinite_sample_is_found_among_its_letters():
     # The factors of the two-sided word ...axax... over the alphabet ab: only
     # the one-letter words are scanned for x, which the empty word's graph skips.
@@ -426,3 +441,52 @@ def test_the_marker_is_no_part_of_a_samples_value():
     hand = LanguageSample(words=periodic.words, max_len=4, alphabet=AB, source=periodic.source)
     assert periodic.bi_infinite and not hand.bi_infinite
     assert hand == periodic
+
+
+def test_an_iet_sample_grows_its_special_words_from_the_previous_length():
+    # An exchange of 3 intervals has 2k + 1 words of length k, and a special
+    # word at every length.  Its special words of length k + 1 are looked up
+    # from those of length k, a bounded number of lookups per length, where
+    # one lookup of avb for each word would make about 58 * 58 in all.
+    iet = parse_iet_file(str(DATA / "golden.iet"))
+    sample = sample_from_iet(iet, 60)
+    letters = iet.alphabet.letters
+    pi_order = order_from_permutation(iet.permutation, iet.alphabet)
+    looked_up = LookedUpWords(sample.words)
+    report = classify(dataclasses.replace(sample, words=looked_up), pi_order, letters, 58)
+    assert len(looked_up.lengths) <= 8 * 58 * len(letters) ** 2
+    assert report.ordered_dendric and report.checked_up_to == 58
+    assert report == classify(dataclasses.replace(sample, bi_infinite=False), pi_order, letters, 58)
+
+
+# -- forests and trees by union-find, against depth-first search -----------------------
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """A random bipartite graph, with isolated vertices and several
+    components, and the same letter now and then on both sides.  Its edges
+    are a tuple, so that union-find meets them in the drawn order; some
+    graphs get one more edge inside a component, closing a cycle, first or
+    last in that order."""
+    left = draw(st.lists(st.sampled_from("abcde"), unique=True, max_size=5))
+    right = draw(st.lists(st.sampled_from("abcde"), unique=True, max_size=5))
+    pairs = [(a, b) for a in left for b in right]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    components = count_components(left, right, edges)
+    closing = [e for e in pairs if e not in edges and count_components(left, right, edges + [e]) == components]
+    where = draw(st.sampled_from(("none", "first", "last")))
+    if closing and where != "none":
+        edge = draw(st.sampled_from(closing))
+        edges = [edge] + edges if where == "first" else edges + [edge]
+    return ExtensionGraph(word="", left=tuple(left), right=tuple(right), edges=tuple(edges))
+
+
+@settings(max_examples=400, deadline=None)
+@given(bipartite_graphs())
+def test_forest_and_tree_match_depth_first_search(graph):
+    components = count_components(graph.left, graph.right, graph.edges)
+    forest = len(graph.edges) == len(graph.left) + len(graph.right) - components
+    tree = forest and components == 1
+    assert extgraph_module._forest_and_tree(graph) == (forest, tree)
+    assert (is_forest(graph), is_tree(graph)) == (forest, tree)

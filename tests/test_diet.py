@@ -58,6 +58,13 @@ class TestAction:
             mu = diet_action(Diet(parts, pi))  # constructor validates bijection
             assert sum(len(c) for c in mu.cycles()) == sum(parts)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=5), st.data())
+    def test_action_is_apply_at_every_point(self, parts, data):
+        diet = Diet(parts, Permutation(data.draw(st.permutations(range(len(parts))))))
+        mu = diet_action(diet)
+        assert [mu(k - 1) + 1 for k in range(1, diet.n + 1)] == [diet.apply(k) for k in range(1, diet.n + 1)]
+
 
 class TestOrbitWords:
     def test_seven_point(self, seven_diet, abc):

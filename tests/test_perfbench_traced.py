@@ -37,6 +37,7 @@ CALLS = {
         ["diet", "--composition", "4,2,1", "--pi", "cba", "--words"],
         ["classify", "--source", "periodic:aabcb", "--depth", "3", "--orders", "abc:A"],
         ["classify", "--source", "multiset:ab,aab", "--depth", "3", "--orders", "A:A"],
+        ["classify", "--source", "iet:" + GOLDEN, "--depth", "4", "--orders", "pi:A"],
     ],
 }
 
