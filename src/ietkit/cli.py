@@ -240,9 +240,9 @@ def _cmd_diet(args) -> int:
     alphabet = OrderedAlphabet(letters)
     pi = Permutation.parse(args.pi, alphabet)
     diet = Diet(parts, pi)
-    # The action and the orbits take n steps, and a cylinder n per letter.
+    # The action and the orbits take n steps, and the cylinder walk one per letter.
     cylinder = None if args.cylinder is None else _word_arg(args.cylinder)
-    _require_steps(f"--composition {args.composition}", diet.n * (1 + len(cylinder or "")))
+    _require_steps(f"--composition {args.composition}", diet.n + len(cylinder or ""))
     mu = diet_action(diet)
     cells = None if cylinder is None else diet_cylinder(diet, cylinder, alphabet)
     print(f"composition: {','.join(map(str, parts))}")

@@ -12,8 +12,13 @@ Languages are handled as finite samples: all factors up to a declared bound,
 from a periodic word, a multiset of words (union of the periodic languages),
 or an interval exchange.  Every verdict is a bounded-depth verdict and the
 reports say so; for a periodic word of period p, depth p + 2 already decides
-the classification because factors recur with period p.  Word sources refuse
-a depth whose factors would exceed ``MAX_SAMPLE_LETTERS`` letters.
+the classification because factors recur with period p.
+
+A word source holds its periods, not its factors (``PeriodicFactors``): a
+word is looked up by a substring search in the periods, each repeated to
+cover every factor up to the depth, and the factors are spelled only if the
+sample is iterated.  Word sources refuse a depth whose factors would exceed
+``MAX_SAMPLE_LETTERS`` letters, which bounds what that iteration spells.
 
 ``classify`` decides the words of each length k in turn.  A word v with a
 single left letter a, a single right letter b, avb in the sample, a in the
@@ -40,7 +45,9 @@ every word reads the whole level; an exchange of d intervals has at most
 d - 1 right-special and d - 1 left-special words per length.  Once a length has no special word,
 nothing grows and ``classify`` stops there, with every word up to its depth
 still decided.  Every symbol of such a sample is a one-letter word, so
-foreign symbols are looked for at lengths 0 and 1 only.  A sample built by
+foreign symbols are looked for among those only, and the word sources and
+exchanges supply them without a scan: a word source's are its periods'
+letters, an exchange's the first level of its language.  A sample built by
 hand gets every word of every length decided.  An aperiodic exchange has a
 special factor at every length, so its samples never stop early; periodic
 words stop past their last special factor.
@@ -49,9 +56,11 @@ words stop past their last special factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Sequence, Set
+from functools import cached_property
+from itertools import count
 
-from .iet import Iet
+from .iet import Iet, Language
 from .words import OrderedAlphabet, Permutation
 
 
@@ -67,7 +76,7 @@ class LanguageSample:
     of the sample's value, so equality ignores it.
     """
 
-    words: frozenset[str]
+    words: Set[str]
     max_len: int
     alphabet: OrderedAlphabet
     source: str
@@ -85,7 +94,8 @@ class LanguageSample:
 # A word source with periods w_1..w_m spells at most
 # (|w_1| + ... + |w_m|) * max_len * (max_len + 1) / 2 letters of factors:
 # |w_i| factors of each length up to max_len.  Past this many letters the
-# sample is refused before it is built.
+# sample is refused before it is built: it holds only its periods, but
+# iterating it spells every factor.
 MAX_SAMPLE_LETTERS = 20_000_000
 
 
@@ -112,6 +122,52 @@ def _periodic_factors(w: str, max_len: int) -> set[str]:
     return out
 
 
+class PeriodicFactors(Set):
+    """Every factor of length <= ``max_len`` of the two-sided words w^Z, one
+    for each of the ``entries`` w, held as their periods.
+
+    w repeated ``max_len // |w| + 2`` times holds every factor of w^Z of
+    length <= ``max_len`` at every phase, and nothing else, so a word u is
+    in the set when it is that short and a substring of one repetition.
+    ``text`` joins the repetitions with ``separator``, a symbol outside the
+    alphabet, so no match runs across two of them.  Iterating, ``len`` and
+    the hash spell the factors once, through ``_periodic_factors``, and keep
+    them; the set equals and hashes as the frozenset of those words.
+    """
+
+    def __init__(self, entries: Sequence[str], alphabet: OrderedAlphabet, max_len: int):
+        self.entries = tuple(entries)
+        self.max_len = max_len
+        self.separator = next(c for c in map(chr, count()) if c not in alphabet)
+        self.text = self.separator.join(w * (max_len // len(w) + 2) for w in self.entries)
+
+    def __contains__(self, u: object) -> bool:
+        return isinstance(u, str) and len(u) <= self.max_len and self.separator not in u and u in self.text
+
+    @cached_property
+    def _words(self) -> frozenset[str]:
+        return frozenset().union(*(_periodic_factors(w, self.max_len) for w in self.entries))
+
+    def __iter__(self):
+        return iter(self._words)
+
+    def __len__(self) -> int:
+        return len(self._words)
+
+    def __eq__(self, other: object) -> bool:
+        return self._words == other
+
+    def __hash__(self) -> int:
+        return hash(self._words)
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset[str]:
+        return frozenset(it)
+
+    def __repr__(self) -> str:
+        return f"PeriodicFactors({self.entries!r}, max_len={self.max_len})"
+
+
 def _word_sample(
     entries: Sequence[str], alphabet: OrderedAlphabet, max_len: int, source: str
 ) -> LanguageSample:
@@ -121,12 +177,8 @@ def _word_sample(
     for w in entries:
         alphabet.require(w)
     _require_bounded(entries, max_len)
-    words: set[str] = set()
-    for w in entries:
-        words |= _periodic_factors(w, max_len)
-    return LanguageSample(
-        words=frozenset(words), max_len=max_len, alphabet=alphabet, source=source, bi_infinite=True
-    )
+    words = PeriodicFactors(entries, alphabet, max_len)
+    return LanguageSample(words=words, max_len=max_len, alphabet=alphabet, source=source, bi_infinite=True)
 
 
 def sample_from_periodic(w: str, alphabet: OrderedAlphabet, max_len: int) -> LanguageSample:
@@ -169,6 +221,28 @@ class ExtensionGraph:
     edges: frozenset[tuple[str, str]]
 
 
+def _haystack(sample: LanguageSample):
+    """What ``extension_graph`` and ``classify`` look words up in with ``in``:
+    the sample's words, or the ``text`` of periodic factors, searched in C
+    without the Python call of ``PeriodicFactors.__contains__``."""
+    words = sample.words
+    # The text answers exactly for words over the sample's alphabet of length
+    # <= its max_len, the only words the two callers look up (both check the
+    # depth first), unless they can outgrow the text or hold its separator.
+    fits = isinstance(words, PeriodicFactors) and words.max_len >= sample.max_len
+    return words.text if fits and words.separator not in sample.alphabet else words
+
+
+def _one_letter_words(words: Set[str]) -> Iterable[str]:
+    """The words of length 1: the entries' letters of periodic factors, the
+    first level of an exchange's language, and a scan of any other set."""
+    if isinstance(words, PeriodicFactors):
+        return set("".join(words.entries))
+    if isinstance(words, Language):
+        return words.by_length[1] if len(words.by_length) > 1 else ()
+    return [w for w in words if len(w) == 1]
+
+
 def extension_graph(sample: LanguageSample, v: str) -> ExtensionGraph:
     """Left/right extensions and two-sided edges of ``v`` in the sample."""
     if len(v) + 2 > sample.max_len:
@@ -177,11 +251,10 @@ def extension_graph(sample: LanguageSample, v: str) -> ExtensionGraph:
         )
     sample.alphabet.require(v)
     letters = sample.alphabet.letters
-    left = tuple(a for a in letters if a + v in sample.words)
-    right = tuple(b for b in letters if v + b in sample.words)
-    edges = frozenset(
-        (a, b) for a in left for b in right if a + v + b in sample.words
-    )
+    haystack = _haystack(sample)
+    left = tuple(a for a in letters if a + v in haystack)
+    right = tuple(b for b in letters if v + b in haystack)
+    edges = frozenset((a, b) for a in left for b in right if a + v + b in haystack)
     return ExtensionGraph(word=v, left=left, right=right, edges=edges)
 
 
@@ -299,33 +372,36 @@ def classify(
             f"classification up to length {up_to} needs sample depth {up_to + 2}, "
             f"have {sample.max_len}"
         )
-    words = sample.words
     alphabet = sample.alphabet
     letters = alphabet.letters
     grows = sample.bi_infinite
-    # Every symbol of a bi-infinite sample is a one-letter word.
-    scanned = min(up_to, 1) if grows else up_to
-    by_length: list[list[str]] = [[] for _ in range(up_to + 2)]
-    for w in words:
-        if len(w) <= scanned:
-            by_length[len(w)].append(w)
-    foreign = set().union(*map("".join, by_length)) - set(letters)
+    haystack = _haystack(sample)
+    if grows:
+        # Every symbol of a bi-infinite sample is a one-letter word.
+        symbols = set(_one_letter_words(sample.words)) if up_to else set()
+    else:
+        by_length: list[list[str]] = [[] for _ in range(up_to + 2)]
+        for w in sample.words:
+            if len(w) <= up_to:
+                by_length[len(w)].append(w)
+        symbols = set().union(*map("".join, by_length))
+    foreign = symbols - set(letters)
     if foreign:
         raise ValueError(f"symbol {min(foreign)!r} is not in alphabet {alphabet}")
     rank1, rank2 = _ranks(order1), _ranks(order2)
     flags = dict.fromkeys(("dendric", "alsinic", "ordered_dendric", "ordered_alsinic"), True)
     witnesses: dict[str, str] = {}
-    level = [w for w in ("",) if w in words]
+    level = [w for w in ("",) if w in haystack]
     for k in range(up_to + 1):
         special = []
         for v in level:
-            left = [a for a in letters if a + v in words]
-            right = [b for b in letters if v + b in words]
+            left = [a for a in letters if a + v in haystack]
+            right = [b for b in letters if v + b in haystack]
             if not (
                 len(left) == len(right) == 1
                 and left[0] in rank1
                 and right[0] in rank2
-                and left[0] + v + right[0] in words
+                and left[0] + v + right[0] in haystack
             ):
                 special.append(v)
         if not special and grows:

@@ -221,8 +221,8 @@ SPELLED_HUGE = 666666666668166666666667500000000000
      f"--max-len 999999 would spell 499999500000 letters, more than {MAX_LANGUAGE_LETTERS}"),
     (["diet", "--composition", "1999999,2", "--pi", "ba", "--words"],
      f"--composition 1999999,2 would take 2000001 orbit steps, more than {MAX_ORBIT_STEPS}"),
-    (["diet", "--composition", "1000000,1", "--pi", "ba", "--cylinder", "ab"],
-     f"--composition 1000000,1 would take 3000003 orbit steps, more than {MAX_ORBIT_STEPS}"),
+    (["diet", "--composition", "1999999,1", "--pi", "ba", "--cylinder", "ab"],
+     f"--composition 1999999,1 would take 2000002 orbit steps, more than {MAX_ORBIT_STEPS}"),
 ], ids=["traj", "check", "verify-keane", "language", "verify-max-len", "classify-iet", "extgraph-iet",
         "language-one-letter", "verify-one-letter", "diet", "diet-cylinder"])
 def test_huge_work_is_refused_before_it_starts(monkeypatch, capsys, golden_file, argv, message):

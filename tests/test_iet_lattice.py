@@ -586,6 +586,19 @@ def test_first_return_of_a_rational_exchange_refuses_two_radicands():
         RATIONAL.first_return(sub, z)
 
 
+def test_a_point_outside_ends_of_two_radicands_names_them():
+    # Both ends print as (0, 1, 1): sqrt(2) and sqrt(3) are told apart only
+    # by the radicand each end names.
+    sub = Interval(q2(0, 1), QuadNum(0, 1, 1, 3))
+    message = "point (0) is not in the return interval [(0, 1, 1) with d = 2, (0, 1, 1) with d = 3)"
+    with pytest.raises(ValueError) as caught:
+        RATIONAL.first_return(sub, QuadNum(0))
+    assert str(caught.value) == message
+    # Ends of one radicand, or a rational end, print as before.
+    assert str(Interval(q2(0, 1), QuadNum(3))) == "[(0, 1, 1), (3))"
+    assert str(Interval(q2(0, 1), q2(1, 1))) == "[(0, 1, 1), (1, 1, 1))"
+
+
 def test_first_return_refuses_a_rational_point_between_two_radicands():
     """3/2 lies in [sqrt(2), sqrt(3)), and the QuadNum loop lands; the
     lattice holds one radicand, so the point is refused with the pair the
