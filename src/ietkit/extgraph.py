@@ -17,8 +17,12 @@ the classification because factors recur with period p.
 A word source holds its periods, not its factors (``PeriodicFactors``): a
 word is looked up by a substring search in the periods, each repeated to
 cover every factor up to the depth, and the factors are spelled only if the
-sample is iterated.  Word sources refuse a depth whose factors would exceed
-``MAX_SAMPLE_LETTERS`` letters, which bounds what that iteration spells.
+sample is iterated, or when the text is longer than
+``SEARCH_TEXT_PER_DEPTH`` letters per unit of depth: a search reads the
+whole text, so a period much longer than the depth, or many periods, are
+cheaper to look up by hash.  Word sources refuse a depth whose factors
+would exceed ``MAX_SAMPLE_LETTERS`` letters, which bounds what spelling
+them costs.
 
 ``classify`` decides the words of each length k in turn.  A word v with a
 single left letter a, a single right letter b, avb in the sample, a in the
@@ -126,27 +130,30 @@ class PeriodicFactors(Set):
     """Every factor of length <= ``max_len`` of the two-sided words w^Z, one
     for each of the ``entries`` w, held as their periods.
 
-    w repeated ``max_len // |w| + 2`` times holds every factor of w^Z of
-    length <= ``max_len`` at every phase, and nothing else, so a word u is
-    in the set when it is that short and a substring of one repetition.
-    ``text`` joins the repetitions with ``separator``, a symbol outside the
-    alphabet, so no match runs across two of them.  Iterating, ``len`` and
-    the hash spell the factors once, through ``_periodic_factors``, and keep
-    them; the set equals and hashes as the frozenset of those words.
+    The first |w| + ``max_len`` - 1 letters of w repeated hold every factor
+    of w^Z of length <= ``max_len``, one starting at each of the |w| phases,
+    and nothing else, so a word u is in the set when it is that short and a
+    substring of one such window.  ``text`` joins the windows of the
+    distinct entries with ``separator``, a symbol outside the alphabet, so
+    no match runs across two of them.  Iterating, ``len`` and the hash
+    spell the factors once, through ``_periodic_factors``, and keep them;
+    the set equals and hashes as the frozenset of those words.
     """
 
     def __init__(self, entries: Sequence[str], alphabet: OrderedAlphabet, max_len: int):
         self.entries = tuple(entries)
         self.max_len = max_len
         self.separator = next(c for c in map(chr, count()) if c not in alphabet)
-        self.text = self.separator.join(w * (max_len // len(w) + 2) for w in self.entries)
+        self.text = self.separator.join(
+            (w * (max_len // len(w) + 2))[: len(w) + max_len - 1] for w in dict.fromkeys(self.entries)
+        )
 
     def __contains__(self, u: object) -> bool:
         return isinstance(u, str) and len(u) <= self.max_len and self.separator not in u and u in self.text
 
     @cached_property
     def _words(self) -> frozenset[str]:
-        return frozenset().union(*(_periodic_factors(w, self.max_len) for w in self.entries))
+        return frozenset().union(*(_periodic_factors(w, self.max_len) for w in dict.fromkeys(self.entries)))
 
     def __iter__(self):
         return iter(self._words)
@@ -221,11 +228,31 @@ class ExtensionGraph:
     edges: frozenset[tuple[str, str]]
 
 
-def _haystack(sample: LanguageSample):
+# A lookup in a word source's text reads the whole text, 1-3 ns a letter;
+# spelling the factors costs about 200 ns each, after which a lookup reads
+# one word.  ``classify`` makes 20-30 lookups per word of its top length,
+# and there are at most |w| such words for each entry w, against |w| *
+# max_len factors to spell: so the text costs at most about a fixed multiple
+# of len(text) / max_len what spelling costs.  Timed through ``classify``
+# (2-core x86-64 host), searching was no slower than spelling up to 5
+# letters of text per unit of depth on random binary periods, where the
+# top length has the most words, and up to about 10 on multisets.
+SEARCH_TEXT_PER_DEPTH = 5
+
+
+def _haystack(sample: LanguageSample, spell: bool = True):
     """What ``extension_graph`` and ``classify`` look words up in with ``in``:
-    the sample's words, or the ``text`` of periodic factors, searched in C
-    without the Python call of ``PeriodicFactors.__contains__``."""
+    the sample's words, or for a word source its ``text`` while that is at
+    most ``SEARCH_TEXT_PER_DEPTH`` letters per unit of depth, searched in C
+    without the Python call of ``PeriodicFactors.__contains__``, and its
+    spelled factors past that or once spelled.  One extension graph makes
+    a few lookups, so it passes ``spell=False`` to search even a long text
+    unless ``classify`` has spelled the factors already."""
     words = sample.words
+    if isinstance(words, PeriodicFactors) and (
+        "_words" in words.__dict__ or spell and len(words.text) > SEARCH_TEXT_PER_DEPTH * words.max_len
+    ):
+        return words._words
     # The text answers exactly for words over the sample's alphabet of length
     # <= its max_len, the only words the two callers look up (both check the
     # depth first), unless they can outgrow the text or hold its separator.
@@ -251,7 +278,7 @@ def extension_graph(sample: LanguageSample, v: str) -> ExtensionGraph:
         )
     sample.alphabet.require(v)
     letters = sample.alphabet.letters
-    haystack = _haystack(sample)
+    haystack = _haystack(sample, spell=False)
     left = tuple(a for a in letters if a + v in haystack)
     right = tuple(b for b in letters if v + b in haystack)
     edges = frozenset((a, b) for a in left for b in right if a + v + b in haystack)

@@ -141,9 +141,10 @@ class Interval:
     def __repr__(self) -> str:
         if self.is_empty:
             return "Interval.EMPTY"
-        d1, d2 = (getattr(v, "d", 0) for v in (self.left, self.right))
+        d1, d2 = (getattr(v, "d", 0) if getattr(v, "q", 0) else 0 for v in (self.left, self.right))
         if d1 and d2 and d1 != d2:
-            # A literal drops its radicand, so ends over two radicands name theirs.
+            # A literal drops its radicand, so two irrational ends over
+            # different radicands name theirs.
             return f"[{self.left} with d = {d1}, {self.right} with d = {d2})"
         return f"[{self.left}, {self.right})"
 

@@ -594,8 +594,10 @@ def test_a_point_outside_ends_of_two_radicands_names_them():
     with pytest.raises(ValueError) as caught:
         RATIONAL.first_return(sub, QuadNum(0))
     assert str(caught.value) == message
-    # Ends of one radicand, or a rational end, print as before.
+    # Ends of one radicand, or a rational end, print as before, also a
+    # rational end reached through sqrt(2) arithmetic.
     assert str(Interval(q2(0, 1), QuadNum(3))) == "[(0, 1, 1), (3))"
+    assert str(Interval(q2(0, 1) - q2(0, 1) + QuadNum(1), QuadNum(0, 1, 1, 3))) == "[(1), (0, 1, 1))"
     assert str(Interval(q2(0, 1), q2(1, 1))) == "[(0, 1, 1), (1, 1, 1))"
 
 

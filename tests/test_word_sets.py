@@ -1,12 +1,14 @@
 """Word-source samples hold their periods: membership is a substring search in
 the repeated periods, and the factors are spelled only when the set is
-iterated.  Checked against the union of ``_periodic_factors``, the spelled set."""
+iterated or when the periods are too long for the depth to search.  Checked
+against the union of ``_periodic_factors``, the spelled set."""
 
 import dataclasses
 import importlib
 import io
 import itertools
 import pathlib
+import random
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -61,6 +63,7 @@ def word_sources(draw):
 # at depth 4, the false factor abaa.
 @example((("aab", "b"), "ab", 4))
 @example((("ab", "ba"), "ab", 5))
+@example((("ab", "b", "ab"), "ab", 4))
 def test_word_sets_are_the_spelled_factors(case):
     entries, letters, max_len = case
     sample = build(entries, letters, max_len)
@@ -71,6 +74,7 @@ def test_word_sets_are_the_spelled_factors(case):
         for u in map("".join, itertools.product(letters + "x", repeat=n)):
             assert (u in words) == (u in union), u
             if n <= max_len and "x" not in u:
+                assert (u in words.text) == (u in union), u
                 assert (u in haystack) == (u in union), u
     assert set(words) == union and len(words) == len(union)
     assert words == union and union == words and not words != union
@@ -99,6 +103,58 @@ def test_lookups_stay_exact_when_the_separator_is_a_letter():
     sample = LanguageSample(words=words, max_len=4, alphabet=alphabet, source="hand")
     graph = extension_graph(sample, "b")
     assert (graph.left, graph.right) == (("a",), ("a",))
+
+
+# -- searching or spelling ----------------------------------------------------------
+
+
+def random_period(length, seed):
+    rng = random.Random(seed)
+    return "".join(rng.choice("ab") for _ in range(length))
+
+
+def test_the_text_is_searched_up_to_its_bound_and_spelled_past_it():
+    bound = extgraph_module.SEARCH_TEXT_PER_DEPTH * 10
+    # One period's text is its first |w| + max_len - 1 letters.
+    within = sample_from_periodic(random_period(bound - 9, 1), AB, 10)
+    past = sample_from_periodic(random_period(bound - 8, 1), AB, 10)
+    assert len(within.words.text) == bound
+    assert extgraph_module._haystack(within) is within.words.text
+    assert extgraph_module._haystack(past) is past.words._words
+    # Repeated entries add nothing to the text.
+    repeated = sample_from_multiset(["ab"] * 30 + ["ba"], AB, 4)
+    assert repeated.words.text == "ababa" + repeated.words.separator + "babab"
+    assert extgraph_module._haystack(repeated) is repeated.words.text
+
+
+def test_a_period_up_to_the_depth_is_classified_by_search(monkeypatch):
+    period = random_period(200, 2)
+    hand = LanguageSample(words=spelled((period,), 202), max_len=202, alphabet=AB, source="hand", bi_infinite=True)
+    expected = classify(hand, "ab", "ab", 200)
+    monkeypatch.setattr(extgraph_module, "_periodic_factors", None)
+    sample = sample_from_periodic(period, AB, 202)
+    assert classify(sample, "ab", "ab", 200) == expected
+    assert "_words" not in sample.words.__dict__
+
+
+def test_a_period_far_past_the_depth_is_classified_by_its_spelled_factors():
+    # 511 letters of text against depth 12: each lookup would read them all.
+    period = random_period(500, 3)
+    sample = sample_from_periodic(period, AB, 12)
+    report = classify(sample, "ab", "ab", 10)
+    assert "_words" in sample.words.__dict__
+    # Its extension graphs then look up in the spelled factors too.
+    assert extgraph_module._haystack(sample, spell=False) is sample.words._words
+    hand = LanguageSample(words=spelled((period,), 12), max_len=12, alphabet=AB, source="hand", bi_infinite=True)
+    assert report == classify(hand, "ab", "ab", 10)
+
+
+def test_one_extension_graph_searches_even_a_long_text(monkeypatch):
+    period = random_period(500, 3)
+    hand = LanguageSample(words=spelled((period,), 12), max_len=12, alphabet=AB, source="hand")
+    expected = extension_graph(hand, "ab")
+    monkeypatch.setattr(extgraph_module, "_periodic_factors", None)
+    assert extension_graph(sample_from_periodic(period, AB, 12), "ab") == expected
 
 
 # -- the command line spells no factor ---------------------------------------------
