@@ -250,7 +250,6 @@ class Iet:
         and one ``(letter, right P, right Q, tau P, tau Q)`` per piece;
         ``_image_cuts`` are the boundaries of the image partition."""
         self._alphabet, self._image_letters, self._lens = alphabet, image, lengths
-        self._perm = Permutation(map(alphabet.letters.index, image))
         bounds, image_cuts = [origin], [origin]
         for seq, cuts in ((alphabet.letters, bounds), (image, image_cuts)):
             for c in seq:
@@ -269,9 +268,10 @@ class Iet:
     def alphabet(self) -> OrderedAlphabet:
         return self._alphabet
 
-    @property
+    @cached_property
     def permutation(self) -> Permutation:
-        return self._perm
+        """Built from the image order on first read; a Rauzy state is placed without it."""
+        return Permutation(map(self._alphabet.letters.index, self._image_letters))
 
     @property
     def origin(self) -> QuadNum:
@@ -321,7 +321,7 @@ class Iet:
     def __repr__(self) -> str:
         lens = ", ".join(f"{c}={self._lengths[c]}" for c in self._alphabet)
         return (
-            f"Iet({self._alphabet}, pi={self._perm.one_line_letters(self._alphabet)}, "
+            f"Iet({self._alphabet}, pi={self.permutation.one_line_letters(self._alphabet)}, "
             f"{lens}, origin={self.origin})"
         )
 
@@ -492,7 +492,7 @@ class Iet:
             if v.d and d and v.d != d:
                 raise _mismatch(v.d, d)
             d = d or v.d
-            S = lcm(S, v.r)
+            S = lcm(S, v.r) if S % v.r else S
         return S // R, d, [_at(v, S) for v in values]
 
     def _walk(self, x: QuadNum) -> Iterator[tuple[int, int, int]]:
@@ -653,7 +653,7 @@ class Iet:
         raise CapExceededError(f"no return to {sub} within {cap} steps from {z}")
 
     def return_words_scan(
-        self, w: str, horizon: int | None = None, expected: int | None = None
+        self, w: str, horizon: int | None = None, expected: int | None = None, cylinder: Interval | None = None
     ) -> frozenset[str]:
         """Return words to ``w`` read off one trajectory.
 
@@ -662,11 +662,12 @@ class Iet:
         between consecutive occurrence starts are the return words.  The scan
         stops once ``expected`` distinct words are found and raises
         :class:`IncompleteScanError` if the horizon runs out first.  The
-        return words of the empty word are the letters.
+        return words of the empty word are the letters.  ``cylinder``, when
+        given, must be ``self.cylinder(w)``, which is then not computed again.
         """
         if not w:
             return frozenset(self._alphabet.letters)
-        block = self.cylinder(w)
+        block = self.cylinder(w) if cylinder is None else cylinder
         if block.is_empty:
             raise ValueError(f"{w!r} is not in the language of this transformation")
         if expected is None:

@@ -89,8 +89,13 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
             f"cannot compose: inner morphism targets {g.target}, outer expects {f.source}"
         )
     images = {c: "".join([f.images[x] for x in g.images[c]]) for c in g.source}
-    h = Morphism.__new__(Morphism)  # valid by construction, so no __post_init__
-    h.__dict__.update(source=g.source, target=f.target, images=images)
+    return _valid(g.source, f.target, images)
+
+
+def _valid(source: OrderedAlphabet, target: OrderedAlphabet, images: dict[str, str]) -> Morphism:
+    """A morphism valid by construction, so built without ``__post_init__``."""
+    h = Morphism.__new__(Morphism)
+    h.__dict__.update(source=source, target=target, images=images)
     return h
 
 

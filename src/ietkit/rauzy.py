@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 from .arith import QuadNum, _lt
 from .iet import Iet, _at
-from .morphisms import Morphism, compose, identity, substitution
+from .morphisms import Morphism, _valid, compose, identity
 from .words import OrderedAlphabet
 
 RIGHT = "right"
@@ -102,18 +102,25 @@ def _moved(seq: tuple[str, ...], x: str, y: str, after: bool) -> tuple[str, ...]
     return tuple(rest[:i] + [x] + rest[i:])
 
 
+def _contains(outer, R: int, inner, S: int, d: int) -> bool:
+    """Whether ``[inner[0], inner[-1])`` lies in ``[outer[0], outer[-1])``,
+    given as pairs over the denominators ``S`` and ``R``."""
+    ((ap, aq), *_, (bp, bq)), ((xp, xq), *_, (yp, yq)) = outer, inner
+    return not _lt(xp * R - ap * S, xq * R - aq * S, d) and not _lt(bp * S - yp * R, bq * S - yq * R, d)
+
+
 def _verify_induced(base: Iet, induced: Iet) -> None:
     """Check the induced map against exact first returns of the base map.
 
-    Every piece of the induced transformation must come back to the induced
-    domain in one or two steps of the base map, landing exactly where the
-    induced translation says.  The witness and the landing are read off the
-    induced map's own lattice, which need not be the base's.
+    The induced domain must lie in the base domain, its ends' pairs compared
+    across two lattices of one radicand that need not share ``R``.  Every
+    piece must come back to it in one or two steps of the base map, landing
+    where the induced translation says, both read off the induced lattice.
     """
-    sub = induced.domain
-    if not base.domain.contains_interval(sub):
+    (base_R, base_d, outer, _), (R, d, bounds, rows) = base._grid, induced._grid
+    if not _contains(outer, base_R, bounds, R, d or base_d):
         raise AssertionError("induced domain escapes the base domain")
-    R, d, bounds, rows = induced._grid
+    sub = induced.domain
     for (P, Q), (c, _, _, tp, tq) in zip(bounds, rows):
         landing, steps = base.first_return(sub, QuadNum(P, Q, R, d), cap=4)
         # It must be (P + tp + (Q + tq) sqrt(d))/R; first_return refuses two radicands.
@@ -156,7 +163,7 @@ def _step(iet: Iet, kind: str) -> tuple[Iet, StepRecord]:
         image = _moved(image, partner, pivot, after)
     else:
         letters = _moved(letters, pivot, partner, after)
-    post_alphabet = alphabet if case == TOP_LONGER else OrderedAlphabet(letters)
+    post_alphabet = alphabet if case == TOP_LONGER else OrderedAlphabet._reordered(letters)
     induced = Iet.__new__(Iet)
     induced._place(post_alphabet, image, R, d, (oP, oQ) if after else (oP + sp, oQ + sq), lengths)
     _verify_induced(iet, induced)
@@ -179,11 +186,12 @@ def step_morphism(record: StepRecord) -> Morphism:
     top_longer is ``alpha(partner, pivot)``, partner -> partner pivot, and
     top_shorter is ``alpha~(pivot, partner)``, pivot -> partner pivot.  The
     source is the post-step alphabet and the target the pre-step alphabet,
-    so the morphisms of consecutive steps compose.
+    so the morphisms of consecutive steps compose.  It is ``substitution``'s
+    morphism, built unchecked: both alphabets hold the same letters.
     """
     a = record.partner_letter if record.case == TOP_LONGER else record.pivot_letter
-    image = record.partner_letter + record.pivot_letter
-    return substitution(a, image, record.post_alphabet, record.pre_alphabet)
+    images = {c: c for c in record.post_alphabet} | {a: record.partner_letter + record.pivot_letter}
+    return _valid(record.post_alphabet, record.pre_alphabet, images)
 
 
 def _keeps(iet: Iet, kind: str, target: tuple[tuple[int, int], tuple[int, int]]) -> bool:
@@ -232,12 +240,13 @@ def induce_to_cylinder(
         start = InductionTrace((), (iet,), iet, identity(iet.alphabet))
     elif start.states[0] != iet:
         raise ValueError("the start trace belongs to another transformation")
-    if not start.final.domain.contains_interval(target):
+    # Every state of the walk keeps the lattice of ``iet``, the start's too.
+    R, d, bounds, _ = start.final._grid
+    ends = (_at(target.left, R), _at(target.right, R))
+    if not _contains(bounds, R, ends, R, d):
         raise ValueError(f"the start trace's domain does not contain the cylinder of {w!r}")
     steps, states, theta = list(start.steps), list(start.states), start.theta
     order = (LEFT, RIGHT) if prefer_left else (RIGHT, LEFT)
-    # Every state of the walk keeps the lattice of ``iet``.
-    ends = (_at(target.left, iet._grid[0]), _at(target.right, iet._grid[0]))
     # A start chain already longer than ``cap`` fails even when no step is left.
     while (states[-1]._grid[2][0], states[-1]._grid[2][-1]) != ends or len(steps) > cap:
         if len(steps) >= cap:

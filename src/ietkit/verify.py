@@ -113,6 +113,7 @@ def verify_return_words(
     records: list[WordRecord] = []
     # A return word of several factors is checked once.
     checked: dict[str, ReturnWordCheck] = {}
+    pi_on: dict[OrderedAlphabet, Permutation] = {}  # pi restricted to each support
     # Each walk resumes from its prefix's trace, except under ``trace``: the
     # resumed final map names its letters differently, and the printed theta
     # is keyed by letter.  Only the traces of the previous length are kept.
@@ -138,7 +139,7 @@ def verify_return_words(
         images = tuple((c, trace_result.theta(c)) for c in trace_result.theta.source)
         induced = frozenset(u for _, u in images)
         try:
-            scanned = iet.return_words_scan(w)
+            scanned = iet.return_words_scan(w, cylinder=trace_result.final.domain)  # the walk ends on cyl(w)
         except IncompleteScanError as exc:
             failures.append(Failure(w, None, None, f"scan incomplete: {exc}"))
             scanned = exc.words
@@ -152,9 +153,9 @@ def verify_return_words(
             check = checked.get(u)
             if check is None:
                 report = clustering_report(u, alphabet)
-                matches = report.is_clustering and report.permutation == restricted_permutation(
-                    iet.permutation, alphabet, report.support
-                )
+                if report.is_clustering and report.support not in pi_on:
+                    pi_on[report.support] = restricted_permutation(iet.permutation, alphabet, report.support)
+                matches = report.is_clustering and report.permutation == pi_on[report.support]
                 check = checked[u] = ReturnWordCheck(
                     word=u,
                     transform=report.transform,

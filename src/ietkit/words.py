@@ -45,10 +45,19 @@ class OrderedAlphabet:
                 raise ValueError(f"letters must be single characters, got {x!r}")
         if len(set(letters)) != len(letters):
             raise ValueError(f"duplicate letter in alphabet {''.join(letters)!r}")
+        self._build(letters)
+
+    @classmethod
+    def _reordered(cls, letters: tuple[str, ...]) -> "OrderedAlphabet":
+        """``letters``, a reordering of a checked alphabet, without the checks."""
+        return cls.__new__(cls)._build(letters)
+
+    def _build(self, letters: tuple[str, ...]) -> "OrderedAlphabet":
         self._letters = letters
         self._rank = {c: i for i, c in enumerate(letters)}
         self._table = _RankTable({ord(c): chr(i) for i, c in enumerate(letters)})
         self._table.name = "".join(letters)
+        return self
 
     @property
     def letters(self) -> tuple[str, ...]:

@@ -1,0 +1,211 @@
+"""The shortcuts of `verify`'s Rauzy steps against the work they replace.
+
+A step builds its post-step alphabet and its morphism without re-checking
+them, a state builds its permutation only when read, the step check tests
+containment on lattice pairs, and the scan takes the cylinder that the walk
+already ends on.  Each shortcut is compared here with the checked or
+recomputed value, on every word up to length 8 of two instances, and a
+call-count guard checks that `verify` still verifies every piece of every
+step it builds.
+"""
+
+import json
+import pathlib
+
+import pytest
+
+import ietkit.rauzy
+from ietkit import Iet, IncompleteScanError, OrderedAlphabet, Permutation, QuadNum
+from ietkit.cli import main, parse_iet_file
+from ietkit.morphisms import Morphism, substitution
+from ietkit.rauzy import (
+    LEFT, RIGHT, TOP_LONGER, TOP_SHORTER, _step, _verify_induced, induce_to_cylinder, step_morphism,
+)
+
+DATA = pathlib.Path(__file__).parent / "data"
+MAX_LEN = 8
+
+
+@pytest.fixture(scope="module", params=("golden", "sqrt2_4"))
+def instance(request):
+    return parse_iet_file(str(DATA / f"{request.param}.iet"))
+
+
+@pytest.fixture(scope="module")
+def traces(instance):
+    """Every word's trace up to ``MAX_LEN``, each resumed from its prefix's, as `verify` walks."""
+    words = sorted((w for w in instance.language(MAX_LEN) if w), key=lambda w: (len(w), instance.alphabet.key(w)))
+    out = {}
+    for w in words:
+        out[w] = induce_to_cylinder(instance, w, start=out.get(w[:-1]))
+    return out
+
+
+def scan_outcome(iet, w, **kwargs):
+    try:
+        return iet.return_words_scan(w, **kwargs)
+    except IncompleteScanError as exc:
+        return str(exc), exc.words
+
+
+@pytest.mark.parametrize("horizon", [None, 17, 53])
+def test_scan_on_a_given_cylinder_equals_the_scan_without_it(instance, traces, horizon):
+    incomplete = 0
+    for w, trace in traces.items():
+        expected = scan_outcome(instance, w, horizon=horizon)
+        assert trace.final.domain == instance.cylinder(w), w
+        for cylinder in (instance.cylinder(w), trace.final.domain):
+            assert scan_outcome(instance, w, horizon=horizon, cylinder=cylinder) == expected, w
+        incomplete += isinstance(expected, tuple)
+    if horizon:
+        # A short horizon ends scans before every return word is found.
+        assert incomplete
+
+
+def test_scan_of_the_empty_word_ignores_the_cylinder(instance):
+    letters = frozenset(instance.alphabet.letters)
+    assert instance.return_words_scan("", cylinder=instance.domain) == letters
+
+
+def test_each_step_morphism_is_the_checked_substitution(traces):
+    steps = {r for trace in traces.values() for r in trace.steps}
+    assert {r.case for r in steps} == {TOP_LONGER, TOP_SHORTER}
+    for r in steps:
+        a = r.partner_letter if r.case == TOP_LONGER else r.pivot_letter
+        expected = substitution(a, r.partner_letter + r.pivot_letter, r.post_alphabet, r.pre_alphabet)
+        got = step_morphism(r)
+        assert got == expected
+        assert (got.source, got.target, got.images) == (expected.source, expected.target, expected.images)
+        # The checked constructor accepts it unchanged.
+        assert Morphism(got.source, got.target, got.images) == got
+
+
+def test_each_unchecked_alphabet_equals_the_checked_one(traces):
+    alphabets = {r.post_alphabet for trace in traces.values() for r in trace.steps if r.case == TOP_SHORTER}
+    assert alphabets
+    for fast in alphabets:
+        slow = OrderedAlphabet(fast.letters)
+        assert fast == slow and hash(fast) == hash(slow)
+        assert [fast.rank(c) for c in fast] == [slow.rank(c) for c in slow]
+        words = ["", *fast.letters, "".join(reversed(fast.letters)) * 3]
+        assert [fast.key(w) for w in words] == [slow.key(w) for w in words]
+        for call in ("key", "require", "rank"):
+            with pytest.raises(ValueError) as caught_fast:
+                getattr(fast, call)("z")
+            with pytest.raises(ValueError) as caught_slow:
+                getattr(slow, call)("z")
+            assert str(caught_fast.value) == str(caught_slow.value)
+            assert "'z' is not in alphabet" in str(caught_fast.value)
+
+
+def test_each_lazy_permutation_equals_the_eager_one(instance, traces):
+    for w in traces:
+        fresh = induce_to_cylinder(instance, w)
+        # A walk reads no permutation but its first state's.
+        assert all("permutation" not in vars(state) for state in fresh.states[1:]), w
+        for state in fresh.states:
+            eager = Permutation.from_one_line_letters("".join(state.image_order_letters()), state.alphabet)
+            assert state.permutation == eager
+            assert repr(state) == repr(Iet(state.alphabet, eager, state.lengths, state.origin))
+
+
+def _relattice(iet, k):
+    """``iet`` on the lattice refined by ``k``: the same numbers, as pairs over ``k R``."""
+    R, d, bounds, _ = iet._grid
+    out = Iet.__new__(Iet)
+    lengths = {c: (P * k, Q * k) for c, (P, Q) in iet._lens.items()}
+    out._place(iet.alphabet, iet.image_order_letters(), k * R, d, (bounds[0][0] * k, bounds[0][1] * k), lengths)
+    return out
+
+
+@pytest.mark.parametrize("kind", [RIGHT, LEFT])
+def test_step_check_compares_two_lattices(kind):
+    base = parse_iet_file(str(DATA / "sqrt2_4.iet"))
+    induced, _ = _step(base, kind)
+    lengths, letters = induced.lengths, induced.alphabet.letters
+    eps = QuadNum(1, 0, 1000)
+    # Each pokes out of the base domain by eps, at one end.
+    left_out = dict(lengths)
+    left_out[letters[0]] += induced.origin - base.origin + eps
+    right_out = dict(lengths)
+    right_out[letters[-1]] += base.domain.right - induced.domain.right + eps
+    for origin, moved in ((base.origin - eps, left_out), (induced.origin, right_out)):
+        bad = Iet(induced.alphabet, induced.permutation, moved, origin)
+        assert bad._grid[0] != base._grid[0]
+        assert not base.domain.contains_interval(bad.domain)
+        with pytest.raises(AssertionError, match="escapes the base domain"):
+            _verify_induced(base, bad)
+    finer = _relattice(induced, 7)
+    assert finer._grid[0] == 7 * base._grid[0] and finer.domain == induced.domain
+    _verify_induced(base, finer)
+    # The base on the finer lattice checks the same step.
+    _verify_induced(_relattice(base, 7), induced)
+
+
+def test_start_check_on_pairs_keeps_its_refusals(instance, traces):
+    language = instance.language(MAX_LEN + 1)
+    for u in language:
+        if u and len(u) > 1:
+            # A prefix's final domain holds the cylinder; the walk resumes from it.
+            induce_to_cylinder(instance, u, start=traces[u[:-1]])
+    for w, trace in traces.items():
+        # A word of the same length has a disjoint cylinder.
+        other = next((v for v in traces if len(v) == len(w) and v != w), None)
+        if other is not None:
+            with pytest.raises(ValueError, match=f"the start trace's domain does not contain the cylinder of {other!r}"):
+                induce_to_cylinder(instance, other, start=trace)
+    # A start of another exchange is refused first, whatever its domain.
+    foreign = induce_to_cylinder(parse_iet_file(str(DATA / "one_letter.iet")), "a")
+    with pytest.raises(ValueError, match="another transformation"):
+        induce_to_cylinder(instance, max(traces, key=len), start=foreign)
+
+
+def test_verify_computes_each_cylinder_once_and_checks_every_piece(monkeypatch, capsys):
+    counts = {"cylinder": 0, "first_return": 0, "pieces": 0, "steps": 0}
+    inside: list[str] = []
+    unchecked: list[str] = []
+
+    def wrap(owner, name, before=None, after=None, scope=None):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            if before:
+                before()
+            if scope:
+                inside.append(scope)
+            try:
+                result = original(*args, **kwargs)
+            finally:
+                if scope:
+                    inside.pop()
+            if after:
+                after(result)
+            return result
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def bump(key, by=1):
+        counts[key] += by
+
+    def built(result):
+        bump("steps")
+        bump("pieces", len(result[0].alphabet))
+
+    def checked_constructor(name):
+        return lambda: unchecked.append(f"{name} in {inside[-1]}") if inside else None
+
+    wrap(Iet, "cylinder", before=lambda: bump("cylinder"))
+    wrap(Iet, "first_return", before=lambda: bump("first_return"))
+    wrap(ietkit.rauzy, "_step", after=built, scope="_step")
+    wrap(ietkit.rauzy, "step_morphism", scope="step_morphism")
+    wrap(Morphism, "__post_init__", before=checked_constructor("Morphism.__post_init__"))
+    wrap(OrderedAlphabet, "__init__", before=checked_constructor("OrderedAlphabet.__init__"))
+    wrap(Permutation, "__init__", before=checked_constructor("Permutation.__init__"))
+
+    assert main(["verify", str(DATA / "golden.iet"), "--max-len", "10", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["words_checked"] == 120 and not report["failures"]
+    assert counts["cylinder"] == 120
+    assert counts["steps"] > 0
+    assert counts["first_return"] == counts["pieces"] == 3 * counts["steps"]
+    assert unchecked == []
