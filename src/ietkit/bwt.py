@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
-from .words import OrderedAlphabet, Permutation, is_lyndon, lyndon_representative, parikh
+from .words import OrderedAlphabet, Permutation, _cycle_words, is_lyndon, parikh
 
 # A rotation sort round multiplies the compared prefix length by _T.
 _T = 16
@@ -128,10 +128,11 @@ def ebwt(entries: Iterable[str], alphabet: OrderedAlphabet) -> str:
 def inverse_ebwt(s: str, alphabet: OrderedAlphabet) -> tuple[str, ...]:
     """The unique Lyndon multiset whose extended transform is ``s``.
 
-    Computed through the standard permutation: positions of ``s`` are stably
-    sorted by letter, the i-th position of the sorted column is matched with
-    the i-th occurrence of the same letter in ``s``, and each cycle of that
-    matching spells one word, normalized to its Lyndon representative.
+    Computed through the standard permutation sigma: positions of ``s`` are
+    stably sorted by letter, and the i-th position of the sorted column is
+    matched with the i-th occurrence of the same letter in ``s``.  The
+    letters of ``s`` along each cycle of sigma spell a conjugate of one
+    entry, and its Lyndon conjugate is that entry.
     """
     if not s:
         raise ValueError("cannot invert the empty string")
@@ -143,19 +144,7 @@ def inverse_ebwt(s: str, alphabet: OrderedAlphabet) -> tuple[str, ...]:
     # alphabet order.  Its i-th position holds the i-th occurrence of its
     # letter, so the sorted positions are the standard permutation itself.
     sigma = [i for c in alphabet.letters for i in occurrences.get(c, ())]
-    seen = [False] * len(s)
-    words = []
-    for start in range(len(s)):
-        if seen[start]:
-            continue
-        letters = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = sigma[i]
-            letters.append(s[i])
-        words.append(lyndon_representative("".join(letters), alphabet))
-    return tuple(sorted(words, key=alphabet.key))
+    return _cycle_words(sigma, s, alphabet)
 
 
 def _block_report(transform: str, alphabet: OrderedAlphabet) -> ClusteringReport:
@@ -167,7 +156,7 @@ def _block_report(transform: str, alphabet: OrderedAlphabet) -> ClusteringReport
     clustering = len(runs) == len(support)
     perm = None
     if clustering:
-        perm = Permutation(support.rank(c) for c in runs)
+        perm = Permutation.from_one_line_letters("".join(runs), support)
     return ClusteringReport(
         transform=transform,
         is_clustering=clustering,

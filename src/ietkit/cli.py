@@ -318,19 +318,24 @@ def _cmd_iet_rauzy(args) -> int:
     if args.steps != "auto" and len(args.steps) > MAX_RAUZY_STEPS:
         raise ValueError(f"--steps has {len(args.steps)} steps, more than {MAX_RAUZY_STEPS}")
     iet = parse_iet_file(args.file)
-    trace = induce_to_cylinder(iet, _word_arg(args.word), cap=args.cap) if args.steps == "auto" else None
+    if args.steps == "auto":
+        trace = induce_to_cylinder(iet, _word_arg(args.word), cap=args.cap)
+        steps = zip(trace.steps, trace.states[1:])
+    else:
+        steps = _explicit_steps(iet, args.steps)
     print("start:")
     _print_iet(iet, indent="  ")
-    if trace is not None:
-        for i, record in enumerate(trace.steps, start=1):
-            print(_describe_step(i, record, step_morphism(record)))
-            _print_iet(trace.states[i], indent="  ")
-        return 0
-    for i, letter in enumerate(args.steps, start=1):
-        iet, record = rauzy_right(iet) if letter == "r" else rauzy_left(iet)
+    for i, (record, state) in enumerate(steps, start=1):
         print(_describe_step(i, record, step_morphism(record)))
-        _print_iet(iet, indent="  ")
+        _print_iet(state, indent="  ")
     return 0
+
+
+def _explicit_steps(iet, letters: str):
+    """(record, state) of each step, taken when read: a failing step leaves the earlier ones printed."""
+    for letter in letters:
+        iet, record = rauzy_right(iet) if letter == "r" else rauzy_left(iet)
+        yield record, iet
 
 
 def _cmd_iet_returns(args) -> int:

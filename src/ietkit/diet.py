@@ -21,7 +21,7 @@ from collections.abc import Iterable, Sequence
 
 from .bwt import multiset_clustering_report, multiset_parikh
 from .iet import Iet
-from .words import OrderedAlphabet, Permutation, is_primitive, lyndon_representative
+from .words import OrderedAlphabet, Permutation, _cycle_words
 
 
 class Diet:
@@ -96,32 +96,17 @@ def diet_action(diet: Diet) -> Permutation:
 
 
 def orbit_words(diet: Diet, alphabet: OrderedAlphabet) -> tuple[str, ...]:
-    """One Lyndon word per orbit, reading block letters along the orbit.
+    """One Lyndon word per orbit: the block letters read along each cycle of
+    :func:`diet_action`, normalized to their Lyndon conjugate and sorted.
 
-    Each orbit is read from its smallest integer and normalized to its
-    Lyndon conjugate, so the output is deterministic.
+    An orbit word is primitive: were it u^p with p >= 2, T^|u| would shift
+    its start by one amount p times and come back, so by 0, and the orbit
+    would close after |u| steps.
     """
     if len(alphabet) != len(diet.composition):
         raise ValueError("alphabet size does not match the number of parts")
-    letters = alphabet.letters
-    block_of, shifts = diet.block_of, diet.shifts
-    seen = [False] * (diet.n + 1)
-    words = []
-    for start in range(1, diet.n + 1):
-        if seen[start]:
-            continue
-        k = start
-        spelled = []
-        while not seen[k]:
-            seen[k] = True
-            i = block_of(k)
-            spelled.append(letters[i])
-            k += shifts[i]
-        word = "".join(spelled)
-        if not is_primitive(word):
-            raise AssertionError(f"orbit word {word!r} is not primitive")
-        words.append(lyndon_representative(word, alphabet))
-    return tuple(sorted(words, key=alphabet.key))
+    labels = "".join(c * part for c, part in zip(alphabet.letters, diet.composition))
+    return _cycle_words(diet_action(diet).images, labels, alphabet)
 
 
 def diet_cylinder(diet: Diet, w: str, alphabet: OrderedAlphabet) -> set[int]:

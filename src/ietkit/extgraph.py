@@ -324,30 +324,18 @@ def _compatible(graph: ExtensionGraph, rank1: dict[str, int], rank2: dict[str, i
     for b in graph.right:
         if b not in rank2:
             raise ValueError(f"right vertex {b!r} missing from the second order")
-    span: dict[str, list[int]] = {}
-    for a, b in graph.edges:
-        r = rank2[b]
-        if a in span:
-            lohi = span[a]
-            lohi[0] = min(lohi[0], r)
-            lohi[1] = max(lohi[1], r)
-        else:
-            span[a] = [r, r]
-    running_max = None
-    for a in sorted(span, key=rank1.get):
-        lo, hi = span[a]
-        if running_max is not None and lo < running_max:
-            return False
-        running_max = hi if running_max is None else max(running_max, hi)
-    return True
+    # Sorted by (rank1, rank2), two crossing edges a <_1 c with b >_2 d come
+    # in that order, so the second ranks drop somewhere between them; and a
+    # drop between neighbours (a, b), (c, d) has a <_1 c, a crossing.
+    seconds = [r2 for _, r2 in sorted((rank1[a], rank2[b]) for a, b in graph.edges)]
+    return seconds == sorted(seconds)
 
 
 def is_compatible(graph: ExtensionGraph, order1: Sequence[str], order2: Sequence[str]) -> bool:
     """No crossing edges: a <_1 c implies b <=_2 d for all edges (a,b), (c,d).
 
-    Equivalent check: group edges by left vertex, walk the groups in <_1
-    order and require each group's smallest right rank to dominate the
-    running maximum of the previous groups.
+    Equivalent check: with the edges sorted by (<_1 rank, <_2 rank), their
+    <_2 ranks never decrease.
     """
     return _compatible(graph, _ranks(order1), _ranks(order2))
 

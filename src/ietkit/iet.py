@@ -271,7 +271,7 @@ class Iet:
     @cached_property
     def permutation(self) -> Permutation:
         """Built from the image order on first read; a Rauzy state is placed without it."""
-        return Permutation(map(self._alphabet.letters.index, self._image_letters))
+        return Permutation.from_one_line_letters("".join(self._image_letters), self._alphabet)
 
     @property
     def origin(self) -> QuadNum:

@@ -110,11 +110,6 @@ def rename(mu: Permutation, alphabet: OrderedAlphabet) -> Morphism:
     return Morphism(alphabet, target, images)
 
 
-def _block_position(pi: Permutation, rank: int) -> int:
-    """Position i (0-based) with pi(i) == rank."""
-    return pi.inverse()(rank)
-
-
 def clustering_case_target(
     case: int, a: str, b: str, pi: Permutation, alphabet: OrderedAlphabet
 ) -> OrderedAlphabet:
@@ -143,7 +138,7 @@ def clustering_case_target(
     if case == 2:
         if rb != 0:
             raise ValueError(f"case 2 needs b to be the smallest letter, got {b!r} in {alphabet}")
-        i = _block_position(pi, ra)
+        i = pi.inverse()(ra)
         if i + 1 >= d or pi(i + 1) != rb:
             raise ValueError("case 2 needs the block of a immediately followed by the block of b")
         return alphabet
@@ -151,7 +146,7 @@ def clustering_case_target(
     if case == 3:
         if rb != d - 1:
             raise ValueError(f"case 3 needs b to be the largest letter, got {b!r} in {alphabet}")
-        i = _block_position(pi, rb)
+        i = pi.inverse()(rb)
         if i + 1 >= d or pi(i + 1) != ra:
             raise ValueError("case 3 needs the block of b immediately followed by the block of a")
         return alphabet

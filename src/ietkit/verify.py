@@ -68,7 +68,8 @@ def restricted_permutation(
 ) -> Permutation:
     """The pattern of ``pi`` on a sub-alphabet: its image order restricted
     to the support letters, read as a permutation of the support."""
-    return Permutation(support.rank(c) for c in pi.one_line_letters(alphabet) if c in support)
+    image = "".join(c for c in pi.one_line_letters(alphabet) if c in support)
+    return Permutation.from_one_line_letters(image, support)
 
 
 def _instance_description(iet: Iet) -> str:

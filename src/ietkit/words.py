@@ -16,7 +16,7 @@ that convention is fixed here once and used everywhere.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 
 class _RankTable(dict):
@@ -232,30 +232,15 @@ class Permutation:
         return len(self.cycles()) == 1
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Cycle decomposition; each cycle starts at its smallest element."""
-        seen = [False] * len(self._images)
-        out = []
-        for start in range(len(self._images)):
-            if seen[start]:
-                continue
-            cyc = []
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                cyc.append(i)
-                i = self._images[i]
-            out.append(tuple(cyc))
-        return tuple(out)
+        """Cycle decomposition (:func:`_cycles`); each cycle starts at its least element."""
+        return tuple(map(tuple, _cycles(self._images)))
 
     def cycle_string(self, alphabet: OrderedAlphabet | None = None) -> str:
         """Cycles as text: 1-based integers, or letters when given an alphabet."""
-        parts = []
-        for cyc in self.cycles():
-            if alphabet is None:
-                parts.append("(" + ",".join(str(i + 1) for i in cyc) + ")")
-            else:
-                parts.append("(" + " ".join(alphabet.letters[i] for i in cyc) + ")")
-        return "".join(parts)
+        if alphabet is None:
+            return "".join("(" + ",".join(str(i + 1) for i in cyc) + ")" for cyc in self.cycles())
+        self.one_line_letters(alphabet)  # refuses an alphabet of another size
+        return "".join("(" + " ".join(alphabet.letters[i] for i in cyc) + ")" for cyc in self.cycles())
 
     def one_line_letters(self, alphabet: OrderedAlphabet) -> str:
         if len(alphabet) != len(self):
@@ -272,6 +257,32 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({list(self._images)})"
+
+
+def _cycles(images: Sequence[int]) -> list[list[int]]:
+    """The cycles of the bijection ``images`` of 0..n-1, unchecked, in order
+    of least elements; each cycle starts at its least element."""
+    seen = [False] * len(images)
+    out = []
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        cyc = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            cyc.append(i)
+            i = images[i]
+        out.append(cyc)
+    return out
+
+
+def _cycle_words(images: Sequence[int], labels: Sequence[str], alphabet: OrderedAlphabet) -> tuple[str, ...]:
+    """The Lyndon conjugate of the word ``labels`` spells along each cycle of
+    ``images``, sorted by ``alphabet``.  A cycle that spells a proper power
+    raises ValueError."""
+    words = ("".join([labels[i] for i in cyc]) for cyc in _cycles(images))
+    return tuple(sorted((lyndon_representative(w, alphabet) for w in words), key=alphabet.key))
 
 
 def compare_lex(u: str, v: str, alphabet: OrderedAlphabet) -> int:

@@ -21,6 +21,7 @@ from ietkit import (  # noqa: E402
     OrderedAlphabet,
     classify,
     extension_graph,
+    is_compatible,
     is_forest,
     is_tree,
     order_from_permutation,
@@ -490,3 +491,21 @@ def test_forest_and_tree_match_depth_first_search(graph):
     tree = forest and components == 1
     assert extgraph_module._forest_and_tree(graph) == (forest, tree)
     assert (is_forest(graph), is_tree(graph)) == (forest, tree)
+
+
+def crossing_free(graph, order1, order2):
+    """The pairwise definition that ``oracle_classify`` uses."""
+    return all(
+        order2.index(b) <= order2.index(d)
+        for a, b in graph.edges
+        for c, d in graph.edges
+        if order1.index(a) < order1.index(c)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(bipartite_graphs(), st.permutations("abcde"), st.permutations("abcde"))
+def test_is_compatible_matches_the_pairwise_definition(graph, order1, order2):
+    """Cycles included, where the oracle reads compatibility only through
+    ``forest and compatible``."""
+    assert is_compatible(graph, order1, order2) == crossing_free(graph, order1, order2)

@@ -175,6 +175,15 @@ class TestIetCommands:
         assert code == 2
         assert "equal length" in err
 
+    def test_a_step_failing_midway_leaves_the_earlier_steps_printed(self, capsys, tmp_path):
+        path = tmp_path / "tied_later.iet"
+        path.write_text("alphabet = abc\npi = bca\nlen.a = (3)\nlen.b = (1)\nlen.c = (3)\n")
+        code, out, err = run(capsys, "iet", "rauzy", str(path), "--steps", "lll")
+        assert code == 2
+        assert out.startswith("start:\n")
+        assert [line.split(":")[0] for line in out.splitlines() if line.startswith("step")] == ["step 1", "step 2"]
+        assert "left step undefined" in err
+
 
 class TestExtgraphAndClassify:
     def test_extgraph_epsilon(self, capsys):

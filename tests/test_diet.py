@@ -12,6 +12,8 @@ from ietkit import (
     diet_action,
     diet_cylinder,
     diet_from_multiset,
+    is_primitive,
+    lyndon_representative,
     multiset_clustering_report,
     multiset_parikh,
     orbit_words,
@@ -180,9 +182,32 @@ def test_block_of_at_every_block_boundary(parts):
             diet.block_of(k)
 
 
+def orbit_words_oracle(diet, alphabet):
+    """The orbit loop that reading the cycles of ``diet_action`` replaced:
+    each orbit followed from its least integer, one block lookup a step."""
+    letters = alphabet.letters
+    seen = [False] * (diet.n + 1)
+    words = []
+    for start in range(1, diet.n + 1):
+        if seen[start]:
+            continue
+        k = start
+        spelled = []
+        while not seen[k]:
+            seen[k] = True
+            i = diet.block_of(k)
+            spelled.append(letters[i])
+            k += diet.shifts[i]
+        word = "".join(spelled)
+        if not is_primitive(word):
+            raise AssertionError(f"orbit word {word!r} is not primitive")
+        words.append(lyndon_representative(word, alphabet))
+    return tuple(sorted(words, key=alphabet.key))
+
+
 def test_orbit_words_read_each_block_once(monkeypatch):
-    """One block lookup per integer, and the words the letter and shift
-    of that block spell."""
+    """No block lookup at all, and the words the letter and shift of each
+    block spell."""
     diet = Diet([4, 2, 1], Permutation.symmetric(3))
     calls = []
     real = Diet.block_of
@@ -193,7 +218,22 @@ def test_orbit_words_read_each_block_once(monkeypatch):
 
     monkeypatch.setattr(Diet, "block_of", counted)
     assert orbit_words(diet, ABC) == ("aac", "ab", "ab")
-    assert sorted(calls) == list(range(1, 8))
+    assert calls == []
+
+
+@st.composite
+def compositions_and_permutations(draw):
+    """1 to 6 parts of 1 to 8 points under any permutation, reducible ones included."""
+    d = draw(st.integers(1, 6))
+    parts = draw(st.lists(st.integers(1, 8), min_size=d, max_size=d))
+    return Diet(parts, Permutation(draw(st.permutations(range(d)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(compositions_and_permutations())
+def test_orbit_words_match_the_orbit_loop(diet):
+    alphabet = OrderedAlphabet("abcdef"[: len(diet.composition)])
+    assert orbit_words(diet, alphabet) == orbit_words_oracle(diet, alphabet)
 
 
 def cylinder_oracle(diet, w, alphabet):

@@ -202,6 +202,13 @@ class TestPermutation:
         mu = Permutation([3, 4, 5, 6, 1, 2, 0])
         assert mu.cycle_string() == "(1,4,7)(2,5)(3,6)"
 
+    def test_cycle_string_takes_an_alphabet_of_its_size_only(self):
+        pi = Permutation([1, 0, 2])
+        assert pi.cycle_string(ABC) == "(a b)(c)"
+        for letters in ("ab", "abcd"):
+            with pytest.raises(ValueError, match="^alphabet size does not match permutation size$"):
+                pi.cycle_string(OrderedAlphabet(letters))
+
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
             Permutation([0, 0, 1])
