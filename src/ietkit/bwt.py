@@ -168,7 +168,8 @@ def _block_report(transform: str, alphabet: OrderedAlphabet) -> ClusteringReport
 
 
 def clustering_report(w: str, alphabet: OrderedAlphabet) -> ClusteringReport:
-    """Block analysis of bwt(w), evaluated on the support alphabet."""
+    """Block analysis of bwt(w), evaluated on the support alphabet.  Every
+    rotation of ``w`` has the same transform, and so the same report."""
     return _block_report(bwt(w, alphabet), alphabet)
 
 

@@ -304,12 +304,22 @@ def _forest_and_tree(graph: ExtensionGraph) -> tuple[bool, bool]:
     return True, len(graph.left) + len(graph.right) - len(graph.edges) == 1
 
 
+def _require_edge_ends(graph: ExtensionGraph) -> None:
+    """Refuse an edge end that is not a vertex, naming the first in edge order."""
+    for a, b in sorted(graph.edges):
+        for end, side, vertices in ((a, "left", graph.left), (b, "right", graph.right)):
+            if end not in vertices:
+                raise ValueError(f"edge ({a!r}, {b!r}) has {side} end {end!r}, which is not a {side} vertex")
+
+
 def is_forest(graph: ExtensionGraph) -> bool:
     """Acyclic: edges == vertices - components."""
+    _require_edge_ends(graph)
     return _forest_and_tree(graph)[0]
 
 
 def is_tree(graph: ExtensionGraph) -> bool:
+    _require_edge_ends(graph)
     return _forest_and_tree(graph)[1]
 
 
@@ -335,8 +345,10 @@ def is_compatible(graph: ExtensionGraph, order1: Sequence[str], order2: Sequence
     """No crossing edges: a <_1 c implies b <=_2 d for all edges (a,b), (c,d).
 
     Equivalent check: with the edges sorted by (<_1 rank, <_2 rank), their
-    <_2 ranks never decrease.
+    <_2 ranks never decrease.  A graph with an edge end that is not one of
+    its vertices is refused before the orders are read.
     """
+    _require_edge_ends(graph)
     return _compatible(graph, _ranks(order1), _ranks(order2))
 
 

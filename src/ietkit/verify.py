@@ -2,15 +2,16 @@
 
 :func:`verify_return_words` checks, for every factor of an exchange's language
 up to a length bound, that the scan and induction constructions of its
-return words agree and that every return word is clustering.  The report is
-ok exactly when no failure was recorded.  :func:`emit_report` serializes it
-as text or as JSON with sorted keys, so identical inputs give identical
+return words agree and that every return word is clustering, deciding that
+once per conjugacy class, since rotations share one transform.  The report
+is ok exactly when no failure was recorded.  :func:`emit_report` serializes
+it as text or as JSON with sorted keys, so identical inputs give identical
 bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 
 from .bwt import clustering_report
@@ -112,8 +113,10 @@ def verify_return_words(
     words = [w for row in iet.language(max_len).by_length[1:] for w in row]
     failures: list[Failure] = []
     records: list[WordRecord] = []
-    # A return word of several factors is checked once.
+    # Each return word is checked once, reusing the check of a conjugate: u
+    # is a rotation of v exactly when |u| = |v| and u is a factor of vv.
     checked: dict[str, ReturnWordCheck] = {}
+    classes: dict[int, dict[str, ReturnWordCheck]] = {}  # by length: vv -> the check of v
     pi_on: dict[OrderedAlphabet, Permutation] = {}  # pi restricted to each support
     # Each walk resumes from its prefix's trace, except under ``trace``: the
     # resumed final map names its letters differently, and the printed theta
@@ -153,17 +156,16 @@ def verify_return_words(
         for u in return_words:
             check = checked.get(u)
             if check is None:
-                report = clustering_report(u, alphabet)
-                if report.is_clustering and report.support not in pi_on:
-                    pi_on[report.support] = restricted_permutation(iet.permutation, alphabet, report.support)
-                matches = report.is_clustering and report.permutation == pi_on[report.support]
-                check = checked[u] = ReturnWordCheck(
-                    word=u,
-                    transform=report.transform,
-                    is_clustering=report.is_clustering,
-                    blocks="".join(report.block_order),
-                    matches_instance_permutation=matches,
-                )
+                same = classes.setdefault(len(u), {})
+                check = next((c for vv, c in same.items() if u in vv), None)
+                if check is None:
+                    report = clustering_report(u, alphabet)
+                    if report.is_clustering and report.support not in pi_on:
+                        pi_on[report.support] = restricted_permutation(iet.permutation, alphabet, report.support)
+                    matches = report.is_clustering and report.permutation == pi_on[report.support]
+                    check = same[u + u] = ReturnWordCheck(
+                        u, report.transform, report.is_clustering, "".join(report.block_order), matches)
+                check = checked[u] = replace(check, word=u)
             if not check.is_clustering:
                 failures.append(Failure(w, u, check.transform, "return word not clustering"))
             checks.append(check)

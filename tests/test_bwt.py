@@ -2,6 +2,7 @@ import importlib
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ietkit import (
     OrderedAlphabet,
@@ -204,6 +205,34 @@ class TestMultisetClustering:
             rep = clustering_report(w, AB)
             assert rep.is_clustering and rep.permutation == swap
         assert not multiset_clustering_report(["ab", "aab"], AB).is_clustering
+
+
+@st.composite
+def words_with_orders(draw):
+    """A word of at most 40 letters over 1-4 letters, often a proper power
+    u^p, under a drawn order of its alphabet."""
+    alphabet = OrderedAlphabet("".join(draw(st.permutations("abcd"[: draw(st.integers(1, 4))]))))
+    root = draw(st.text(alphabet.letters, min_size=1, max_size=40))
+    power = draw(st.integers(1, 40 // len(root)))
+    return root * power, alphabet
+
+
+def sorted_rotations_transform(w, alphabet):
+    n = len(w)
+    return "".join(r[-1] for r in sorted(((w + w)[i : i + n] for i in range(n)), key=alphabet.key))
+
+
+@settings(max_examples=300, deadline=None)
+@given(words_with_orders())
+def test_every_rotation_has_the_same_clustering_report(case):
+    """A report depends on the conjugacy class only, which is what lets
+    `verify` check one word of each class."""
+    w, alphabet = case
+    fields = lambda r: (r.transform, r.is_clustering, r.block_order, r.support, r.permutation)
+    expected = fields(clustering_report(w, alphabet))
+    assert expected[0] == sorted_rotations_transform(w, alphabet)
+    for i in range(1, len(w)):
+        assert fields(clustering_report(w[i:] + w[:i], alphabet)) == expected, i
 
 
 # One letter over the bound, as one word and as a multiset of two-letter entries.

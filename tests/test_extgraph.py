@@ -8,6 +8,7 @@ import pytest
 
 import ietkit
 from ietkit import (
+    ExtensionGraph,
     OrderedAlphabet,
     Permutation,
     SampleTooLargeError,
@@ -138,6 +139,35 @@ class TestCompatibility:
         graph = extension_graph(seven_language, "")
         with pytest.raises(ValueError):
             is_compatible(graph, ("a", "b"), ABC.letters)
+
+    def test_missing_vertices_are_named_left_first(self):
+        graph = ExtensionGraph(word="", left=("a", "c"), right=("b", "c"), edges=frozenset({("a", "b"), ("c", "c")}))
+        with pytest.raises(ValueError, match=r"^left vertex 'c' missing from the first order$"):
+            is_compatible(graph, "ab", "ab")
+        with pytest.raises(ValueError, match=r"^right vertex 'c' missing from the second order$"):
+            is_compatible(graph, "abc", "ab")
+        assert is_compatible(graph, "abc", "abc")
+
+
+class TestForeignEdgeEnds:
+    """A hand-built graph whose edge ends are not all among its vertices is
+    refused by every public predicate, naming the end."""
+
+    LEFT = ExtensionGraph(word="", left=("a",), right=("b",), edges=frozenset({("a", "b"), ("c", "b")}))
+    RIGHT = ExtensionGraph(word="", left=("a",), right=("b",), edges=(("a", "d"), ("a", "b")))
+
+    @pytest.mark.parametrize("check", [
+        lambda g: is_compatible(g, "abcd", "abcd"), is_forest, is_tree,
+    ], ids=["is_compatible", "is_forest", "is_tree"])
+    def test_each_predicate_names_the_end(self, check):
+        with pytest.raises(ValueError, match=r"^edge \('c', 'b'\) has left end 'c', which is not a left vertex$"):
+            check(self.LEFT)
+        with pytest.raises(ValueError, match=r"^edge \('a', 'd'\) has right end 'd', which is not a right vertex$"):
+            check(self.RIGHT)
+
+    def test_the_graph_is_refused_before_the_orders_are_read(self):
+        with pytest.raises(ValueError, match="left end 'c'"):
+            is_compatible(self.LEFT, "b", "a")
 
 
 class TestOrderFromPermutation:

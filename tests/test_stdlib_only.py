@@ -1,5 +1,7 @@
 """The runtime depends on the standard library only: every module that
-``src/ietkit`` imports at top level names a standard-library package."""
+``src/ietkit`` imports at top level names a standard-library package.  And
+every module parses under the grammar of the oldest Python that
+pyproject.toml allows."""
 
 import ast
 import pathlib
@@ -27,3 +29,10 @@ def test_the_package_has_sources():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_imports_are_standard_library(path):
     assert imported_packages(path) <= sys.stdlib_module_names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_sources_parse_as_python_3_10(path):
+    """pyproject.toml promises Python >= 3.10; this checks the grammar only,
+    not which library calls each version has."""
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -1,0 +1,46 @@
+"""`verify` output pinned byte for byte, as JSON and as text.
+
+The digests were recorded while `verify` still transformed every distinct
+return word, before it checked one word of each conjugacy class, so they
+hold the reports to the output of the per-word checks.
+"""
+
+import hashlib
+import io
+import pathlib
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from ietkit.cli import main
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+# (file, --max-len, exit status, sha256 of the JSON report, sha256 of the text report)
+PINNED = [
+    ("golden.iet", 10, 0,
+     "b11e11aad70923067e535a02a43abb15fdd2db1f3345705e223f310a6ed2f739",
+     "5d26df9a64cb58dabd992d5aadabf71f374e08038bcc3fa6dcc05640992c6dc7"),
+    ("golden.iet", 30, 0,
+     "22acd4f27ddcfe7cfb44faadac26f4172b39bb22d24beedfd4ff512bf5b8e101",
+     "30fe7dab532053d2f179f296219410654490c194c8000c9d17c9e281a42a21e4"),
+    ("sqrt2_even.iet", 6, 1,
+     "1bfd0ea9183c0cb02f0bc5f21211e62ca8853c01f2366c74bed05225964f17d8",
+     "81510ad6f61d149c4f9bf8a6b7f3d55a992cff3a7486261a393d254c072dd906"),
+    ("sqrt2_4.iet", 12, 1,
+     "79bb71d5f396a375aeb0fb62dbd8c21452d9d58e18bec8618ee612c680372be6",
+     "161f50af8aa769c5c5944159dbaa602f7c2038866b1276fb49be04c55a6f70ff"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, max_len, status, json_digest, text_digest", PINNED, ids=[f"{p[0]}@{p[1]}" for p in PINNED]
+)
+def test_verify_keeps_its_bytes(monkeypatch, name, max_len, status, json_digest, text_digest):
+    monkeypatch.chdir(DATA)
+    for fmt, digest in (("json", json_digest), ("text", text_digest)):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            got = main(["verify", name, "--max-len", str(max_len), "--format", fmt])
+        assert (got, err.getvalue()) == (status, ""), fmt
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, fmt

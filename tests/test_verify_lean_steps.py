@@ -2,26 +2,33 @@
 
 A step builds its post-step alphabet and its morphism without re-checking
 them, a state builds its permutation only when read, the step check tests
-containment on lattice pairs, and the scan takes the cylinder that the walk
-already ends on.  Each shortcut is compared here with the checked or
-recomputed value, on every word up to length 8 of two instances, and a
-call-count guard checks that `verify` still verifies every piece of every
-step it builds.
+containment on lattice pairs, the scan takes the cylinder that the walk
+already ends on, and a return word takes the clustering check of a conjugate
+already checked.  Each shortcut is compared here with the checked or
+recomputed value, on every word up to length 8 of two instances, and
+call-count guards check that `verify` still verifies every piece of every
+step it builds, and transforms one word of each conjugacy class.
 """
 
+import importlib
 import json
 import pathlib
+from types import SimpleNamespace
 
 import pytest
 
 import ietkit.rauzy
+import ietkit.verify
 from ietkit import Iet, IncompleteScanError, OrderedAlphabet, Permutation, QuadNum
+from ietkit.bwt import clustering_report
 from ietkit.cli import main, parse_iet_file
 from ietkit.morphisms import Morphism, substitution
 from ietkit.rauzy import (
     LEFT, RIGHT, TOP_LONGER, TOP_SHORTER, _step, _verify_induced, induce_to_cylinder, step_morphism,
 )
+from ietkit.verify import ReturnWordCheck, verify_return_words
 
+bwt_module = importlib.import_module("ietkit.bwt")
 DATA = pathlib.Path(__file__).parent / "data"
 MAX_LEN = 8
 
@@ -209,3 +216,73 @@ def test_verify_computes_each_cylinder_once_and_checks_every_piece(monkeypatch, 
     assert counts["steps"] > 0
     assert counts["first_return"] == counts["pieces"] == 3 * counts["steps"]
     assert unchecked == []
+
+
+def least_rotation(u):
+    return min(u[i:] + u[:i] for i in range(len(u)))
+
+
+def test_each_check_equals_a_fresh_report_of_its_own_word(instance):
+    image = instance.permutation.one_line_letters(instance.alphabet)
+    report = verify_return_words(instance, MAX_LEN)
+    fresh = {}
+    for r in report.records:
+        assert [c.word for c in r.checks] == list(r.return_words), r.word
+        for c in r.checks:
+            if c.word not in fresh:
+                cr = clustering_report(c.word, instance.alphabet)
+                blocks = "".join(cr.block_order)
+                # The block order is the image order of pi on the support.
+                matches = cr.is_clustering and blocks == "".join(x for x in image if x in cr.support)
+                fresh[c.word] = ReturnWordCheck(c.word, cr.transform, cr.is_clustering, blocks, matches)
+            assert c == fresh[c.word], (r.word, c.word)
+        named = [f.return_word for f in report.failures if f.word == r.word and f.return_word is not None]
+        assert named == [c.word for c in r.checks if not c.is_clustering], r.word
+    # Both instances have conjugate return words, so checks were shared.
+    assert len({least_rotation(u) for u in fresh}) < len(fresh)
+
+
+def test_verify_transforms_one_word_of_each_conjugacy_class(monkeypatch, capsys):
+    transformed = []
+    real = bwt_module.bwt
+
+    def counted(w, alphabet):
+        transformed.append(w)
+        return real(w, alphabet)
+
+    monkeypatch.setattr(bwt_module, "bwt", counted)
+    assert main(["verify", str(DATA / "golden.iet"), "--max-len", "10", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    words = {c["word"] for r in report["records"] for c in r["checks"]}
+    classes = sorted({least_rotation(u) for u in words})
+    assert len(classes) < len(words)
+    assert sorted(map(least_rotation, transformed)) == classes
+
+
+def test_a_check_is_shared_by_rotations_only(monkeypatch):
+    """In the return words of the instance files, two words of one length
+    and one Parikh vector are always conjugate, so this case is made by
+    hand, with the induction and the scan faked: aabc and abac have one
+    length and one Parikh vector but two transforms, and abca is a rotation
+    of aabc."""
+    golden = parse_iet_file(str(DATA / "golden.iet"))
+    returns = dict(zip("abc", ("aabc", "abca", "abac")))
+
+    def theta(c):
+        return returns[c]
+
+    theta.source = tuple(returns)
+    made = SimpleNamespace(theta=theta, final=SimpleNamespace(domain=None))
+    monkeypatch.setattr(ietkit.verify, "induce_to_cylinder", lambda *args, **kwargs: made)
+    monkeypatch.setattr(Iet, "return_words_scan", lambda self, w, cylinder=None: frozenset(returns.values()))
+    transformed = []
+    real = bwt_module.bwt
+    monkeypatch.setattr(bwt_module, "bwt", lambda w, alphabet: transformed.append(w) or real(w, alphabet))
+    report = verify_return_words(golden, 2)
+    assert sorted(map(least_rotation, transformed)) == ["aabc", "abac"]
+    assert real("aabc", golden.alphabet) != real("abac", golden.alphabet)
+    for r in report.records:
+        assert r.method_agreement and [c.word for c in r.checks] == sorted(returns.values())
+        for c in r.checks:
+            cr = clustering_report(c.word, golden.alphabet)
+            assert (c.transform, c.is_clustering, c.blocks) == (cr.transform, cr.is_clustering, "".join(cr.block_order))
