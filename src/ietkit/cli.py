@@ -262,7 +262,7 @@ def _cmd_diet(args) -> int:
 
 def _print_iet(iet: Iet, indent: str = "") -> None:
     lens = " ".join(f"{c}={iet.length(c).literal()}" for c in iet.alphabet)
-    print(f"{indent}alphabet: {iet.alphabet}  pi: {iet.permutation.one_line_letters(iet.alphabet)}")
+    print(f"{indent}alphabet: {iet.alphabet}  pi: {''.join(iet.image_order_letters())}")
     print(f"{indent}lengths: {lens}")
     print(f"{indent}domain: [{iet.domain.left.literal()}, {iet.domain.right.literal()})")
 
@@ -573,7 +573,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, InductionCapError, IncompleteScanError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if message.splitlines() != [message]:  # a line break among the symbols of an argument
+            message = message.encode("unicode_escape").decode("ascii")
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -14,15 +14,12 @@ or an interval exchange.  Every verdict is a bounded-depth verdict and the
 reports say so; for a periodic word of period p, depth p + 2 already decides
 the classification because factors recur with period p.
 
-A word source holds its periods, not its factors (``PeriodicFactors``): a
-word is looked up by a substring search in the periods, each repeated to
-cover every factor up to the depth, and the factors are spelled only if the
-sample is iterated, or when the text is longer than
-``SEARCH_TEXT_PER_DEPTH`` letters per unit of depth: a search reads the
-whole text, so a period much longer than the depth, or many periods, are
-cheaper to look up by hash.  Word sources refuse a depth whose factors
-would exceed ``MAX_SAMPLE_LETTERS`` letters, which bounds what spelling
-them costs.
+A word source holds its periods, not its factors (``PeriodicFactors``): the
+factors of each length are spelled the first time a word of that length is
+looked up, so ``classify`` spells only the lengths up to two past the last
+one it decides, and one extension graph of v only |v| + 1 and |v| + 2.
+Word sources refuse a depth whose factors would exceed
+``MAX_SAMPLE_LETTERS`` letters, which bounds what spelling them costs.
 
 ``classify`` decides the words of each length k in turn.  A word v with a
 single left letter a, a single right letter b, avb in the sample, a in the
@@ -62,7 +59,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence, Set
 from functools import cached_property
-from itertools import count
 
 from .iet import Iet, Language
 from .words import OrderedAlphabet, Permutation
@@ -95,11 +91,11 @@ class LanguageSample:
         return out
 
 
-# A word source with periods w_1..w_m spells at most
+# A word source with distinct periods w_1..w_m spells at most
 # (|w_1| + ... + |w_m|) * max_len * (max_len + 1) / 2 letters of factors:
 # |w_i| factors of each length up to max_len.  Past this many letters the
-# sample is refused before it is built: it holds only its periods, but
-# iterating it spells every factor.
+# sample is refused before it is built: it holds only its periods, but its
+# lookups spell the factors one length at a time.
 MAX_SAMPLE_LETTERS = 20_000_000
 
 
@@ -108,7 +104,7 @@ class SampleTooLargeError(ValueError):
 
 
 def _require_bounded(entries: Sequence[str], max_len: int) -> None:
-    period = sum(map(len, entries))
+    period = sum(map(len, dict.fromkeys(entries)))  # a repeated entry is spelled once
     letters = period * max_len * (max_len + 1) // 2
     if letters > MAX_SAMPLE_LETTERS:
         raise SampleTooLargeError(
@@ -117,43 +113,40 @@ def _require_bounded(entries: Sequence[str], max_len: int) -> None:
         )
 
 
-def _periodic_factors(w: str, max_len: int) -> set[str]:
-    reps = w * (max_len // len(w) + 2)
-    out = {""}
-    for k in range(1, max_len + 1):
-        for start in range(len(w)):
-            out.add(reps[start : start + k])
-    return out
-
-
 class PeriodicFactors(Set):
     """Every factor of length <= ``max_len`` of the two-sided words w^Z, one
     for each of the ``entries`` w, held as their periods.
 
-    The first |w| + ``max_len`` - 1 letters of w repeated hold every factor
-    of w^Z of length <= ``max_len``, one starting at each of the |w| phases,
-    and nothing else, so a word u is in the set when it is that short and a
-    substring of one such window.  ``text`` joins the windows of the
-    distinct entries with ``separator``, a symbol outside the alphabet, so
-    no match runs across two of them.  Iterating, ``len`` and the hash
-    spell the factors once, through ``_periodic_factors``, and keep them;
-    the set equals and hashes as the frozenset of those words.
+    The first |w| + ``max_len`` - 1 letters of w repeated, the window of w,
+    hold every factor of w^Z of length <= ``max_len``, one starting at each
+    of the |w| phases, and nothing else.  ``of_length(k)`` spells the
+    factors of length k of the distinct entries' windows the first time it
+    is asked and keeps them; a length past ``max_len`` has none.  A word is
+    looked up in the set of its length.  Iterating, ``len`` and the hash
+    read the union of every length, so the set equals and hashes as the
+    frozenset of its words.
     """
 
-    def __init__(self, entries: Sequence[str], alphabet: OrderedAlphabet, max_len: int):
+    def __init__(self, entries: Sequence[str], max_len: int):
         self.entries = tuple(entries)
         self.max_len = max_len
-        self.separator = next(c for c in map(chr, count()) if c not in alphabet)
-        self.text = self.separator.join(
-            (w * (max_len // len(w) + 2))[: len(w) + max_len - 1] for w in dict.fromkeys(self.entries)
-        )
+        self._windows = {w: (w * (max_len // len(w) + 2))[: len(w) + max_len - 1] for w in self.entries}
+        self._by_length: dict[int, set[str]] = {}
+
+    def of_length(self, k: int) -> Set[str]:
+        """The factors of length ``k``, spelled on first request."""
+        if k > self.max_len:
+            return frozenset()
+        if k not in self._by_length:
+            self._by_length[k] = {window[i : i + k] for w, window in self._windows.items() for i in range(len(w))}
+        return self._by_length[k]
 
     def __contains__(self, u: object) -> bool:
-        return isinstance(u, str) and len(u) <= self.max_len and self.separator not in u and u in self.text
+        return isinstance(u, str) and u in self.of_length(len(u))
 
     @cached_property
     def _words(self) -> frozenset[str]:
-        return frozenset().union(*(_periodic_factors(w, self.max_len) for w in dict.fromkeys(self.entries)))
+        return frozenset().union(*map(self.of_length, range(self.max_len + 1)))
 
     def __iter__(self):
         return iter(self._words)
@@ -184,7 +177,7 @@ def _word_sample(
     for w in entries:
         alphabet.require(w)
     _require_bounded(entries, max_len)
-    words = PeriodicFactors(entries, alphabet, max_len)
+    words = PeriodicFactors(entries, max_len)
     return LanguageSample(words=words, max_len=max_len, alphabet=alphabet, source=source, bi_infinite=True)
 
 
@@ -228,36 +221,12 @@ class ExtensionGraph:
     edges: frozenset[tuple[str, str]]
 
 
-# A lookup in a word source's text reads the whole text, 1-3 ns a letter;
-# spelling the factors costs about 200 ns each, after which a lookup reads
-# one word.  ``classify`` makes 20-30 lookups per word of its top length,
-# and there are at most |w| such words for each entry w, against |w| *
-# max_len factors to spell: so the text costs at most about a fixed multiple
-# of len(text) / max_len what spelling costs.  Timed through ``classify``
-# (2-core x86-64 host), searching was no slower than spelling up to 5
-# letters of text per unit of depth on random binary periods, where the
-# top length has the most words, and up to about 10 on multisets.
-SEARCH_TEXT_PER_DEPTH = 5
-
-
-def _haystack(sample: LanguageSample, spell: bool = True):
-    """What ``extension_graph`` and ``classify`` look words up in with ``in``:
-    the sample's words, or for a word source its ``text`` while that is at
-    most ``SEARCH_TEXT_PER_DEPTH`` letters per unit of depth, searched in C
-    without the Python call of ``PeriodicFactors.__contains__``, and its
-    spelled factors past that or once spelled.  One extension graph makes
-    a few lookups, so it passes ``spell=False`` to search even a long text
-    unless ``classify`` has spelled the factors already."""
+def _haystack(sample: LanguageSample, k: int) -> Set[str]:
+    """What ``extension_graph`` and ``classify`` look words of length ``k``
+    up in with ``in``: a word source's factors of that length, without the
+    Python call of ``PeriodicFactors.__contains__``, or the sample's words."""
     words = sample.words
-    if isinstance(words, PeriodicFactors) and (
-        "_words" in words.__dict__ or spell and len(words.text) > SEARCH_TEXT_PER_DEPTH * words.max_len
-    ):
-        return words._words
-    # The text answers exactly for words over the sample's alphabet of length
-    # <= its max_len, the only words the two callers look up (both check the
-    # depth first), unless they can outgrow the text or hold its separator.
-    fits = isinstance(words, PeriodicFactors) and words.max_len >= sample.max_len
-    return words.text if fits and words.separator not in sample.alphabet else words
+    return words.of_length(k) if isinstance(words, PeriodicFactors) else words
 
 
 def _one_letter_words(words: Set[str]) -> Iterable[str]:
@@ -278,10 +247,10 @@ def extension_graph(sample: LanguageSample, v: str) -> ExtensionGraph:
         )
     sample.alphabet.require(v)
     letters = sample.alphabet.letters
-    haystack = _haystack(sample, spell=False)
-    left = tuple(a for a in letters if a + v in haystack)
-    right = tuple(b for b in letters if v + b in haystack)
-    edges = frozenset((a, b) for a in left for b in right if a + v + b in haystack)
+    one, two = _haystack(sample, len(v) + 1), _haystack(sample, len(v) + 2)
+    left = tuple(a for a in letters if a + v in one)
+    right = tuple(b for b in letters if v + b in one)
+    edges = frozenset((a, b) for a in left for b in right if a + v + b in two)
     return ExtensionGraph(word=v, left=left, right=right, edges=edges)
 
 
@@ -402,7 +371,6 @@ def classify(
     alphabet = sample.alphabet
     letters = alphabet.letters
     grows = sample.bi_infinite
-    haystack = _haystack(sample)
     if grows:
         # Every symbol of a bi-infinite sample is a one-letter word.
         symbols = set(_one_letter_words(sample.words)) if up_to else set()
@@ -418,17 +386,18 @@ def classify(
     rank1, rank2 = _ranks(order1), _ranks(order2)
     flags = dict.fromkeys(("dendric", "alsinic", "ordered_dendric", "ordered_alsinic"), True)
     witnesses: dict[str, str] = {}
-    level = [w for w in ("",) if w in haystack]
+    level = [w for w in ("",) if w in sample]
     for k in range(up_to + 1):
+        one, two = _haystack(sample, k + 1), _haystack(sample, k + 2)
         special = []
         for v in level:
-            left = [a for a in letters if a + v in haystack]
-            right = [b for b in letters if v + b in haystack]
+            left = [a for a in letters if a + v in one]
+            right = [b for b in letters if v + b in one]
             if not (
                 len(left) == len(right) == 1
                 and left[0] in rank1
                 and right[0] in rank2
-                and left[0] + v + right[0] in haystack
+                and left[0] + v + right[0] in two
             ):
                 special.append(v)
         if not special and grows:

@@ -321,7 +321,7 @@ class Iet:
     def __repr__(self) -> str:
         lens = ", ".join(f"{c}={self._lengths[c]}" for c in self._alphabet)
         return (
-            f"Iet({self._alphabet}, pi={self.permutation.one_line_letters(self._alphabet)}, "
+            f"Iet({self._alphabet}, pi={''.join(self._image_letters)}, "
             f"{lens}, origin={self.origin})"
         )
 

@@ -76,7 +76,7 @@ def restricted_permutation(
 def _instance_description(iet: Iet) -> str:
     lens = " ".join(f"{c}={iet.length(c).literal()}" for c in iet.alphabet)
     return (
-        f"alphabet={iet.alphabet} pi={iet.permutation.one_line_letters(iet.alphabet)} "
+        f"alphabet={iet.alphabet} pi={''.join(iet.image_order_letters())} "
         f"{lens} origin={iet.origin.literal()}"
     )
 
@@ -117,7 +117,6 @@ def verify_return_words(
     # is a rotation of v exactly when |u| = |v| and u is a factor of vv.
     checked: dict[str, ReturnWordCheck] = {}
     classes: dict[int, dict[str, ReturnWordCheck]] = {}  # by length: vv -> the check of v
-    pi_on: dict[OrderedAlphabet, Permutation] = {}  # pi restricted to each support
     # Each walk resumes from its prefix's trace, except under ``trace``: the
     # resumed final map names its letters differently, and the printed theta
     # is keyed by letter.  Only the traces of the previous length are kept.
@@ -160,11 +159,11 @@ def verify_return_words(
                 check = next((c for vv, c in same.items() if u in vv), None)
                 if check is None:
                     report = clustering_report(u, alphabet)
-                    if report.is_clustering and report.support not in pi_on:
-                        pi_on[report.support] = restricted_permutation(iet.permutation, alphabet, report.support)
-                    matches = report.is_clustering and report.permutation == pi_on[report.support]
-                    check = same[u + u] = ReturnWordCheck(
-                        u, report.transform, report.is_clustering, "".join(report.block_order), matches)
+                    blocks = "".join(report.block_order)
+                    # The block order against the image order of pi restricted to the support.
+                    matches = report.is_clustering and blocks == "".join(
+                        c for c in iet.image_order_letters() if c in report.support)
+                    check = same[u + u] = ReturnWordCheck(u, report.transform, report.is_clustering, blocks, matches)
                 check = checked[u] = replace(check, word=u)
             if not check.is_clustering:
                 failures.append(Failure(w, u, check.transform, "return word not clustering"))

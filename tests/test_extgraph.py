@@ -23,6 +23,7 @@ from ietkit import (
     sample_from_multiset,
     sample_from_periodic,
 )
+from ietkit.cli import main
 from ietkit.instance import parse_iet_file
 
 AB = OrderedAlphabet("ab")
@@ -255,6 +256,23 @@ class TestSampleBound:
         # alone would spell 12_000_618.
         with pytest.raises(SampleTooLargeError, match="over 5 period letters would spell 20001030 letters"):
             sample_from_multiset(["abc", "ab"], ABC, 2828)
+
+    def test_a_repeated_entry_is_counted_once(self):
+        # Only distinct periods are spelled: 3000 copies of ab hold the words
+        # of periodic:ab, which is accepted at the same depth.
+        repeated = sample_from_multiset(["ab"] * 3000, AB, 100)
+        assert repeated.words == sample_from_periodic("ab", AB, 100).words
+        with pytest.raises(SampleTooLargeError, match="over 5 period letters would spell 20001030 letters"):
+            sample_from_multiset(["abc", "ab", "abc", "ab"], ABC, 2828)
+
+    def test_a_repeated_entry_is_counted_once_on_the_command_line(self, capsys):
+        verdicts = []
+        for source in ("multiset:" + ",".join(["ab"] * 3000), "periodic:ab"):
+            assert main(["classify", "--source", source, "--depth", "98"]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            verdicts.append(out.splitlines()[-4:])
+        assert verdicts[0] == verdicts[1]
 
     def test_a_foreign_symbol_is_named_first(self):
         with pytest.raises(ValueError, match="symbol 'x'"):

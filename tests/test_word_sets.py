@@ -1,7 +1,6 @@
-"""Word-source samples hold their periods: membership is a substring search in
-the repeated periods, and the factors are spelled only when the set is
-iterated or when the periods are too long for the depth to search.  Checked
-against the union of ``_periodic_factors``, the spelled set."""
+"""Word-source samples hold their periods and spell the factors of each length
+the first time a word of that length is looked up.  Checked against the
+union of ``periodic_factors``, every factor spelled at once."""
 
 import dataclasses
 import importlib
@@ -15,7 +14,7 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from ietkit import (  # noqa: E402
     LanguageSample,
@@ -46,8 +45,17 @@ def build(entries, letters, max_len):
     return sample_from_multiset(entries, alphabet, max_len)
 
 
+def periodic_factors(w, max_len):
+    reps = w * (max_len // len(w) + 2)
+    out = {""}
+    for k in range(1, max_len + 1):
+        for start in range(len(w)):
+            out.add(reps[start : start + k])
+    return out
+
+
 def spelled(entries, max_len):
-    return frozenset().union(*(extgraph_module._periodic_factors(w, max_len) for w in entries))
+    return frozenset().union(*(periodic_factors(w, max_len) for w in entries))
 
 
 @st.composite
@@ -69,13 +77,13 @@ def test_word_sets_are_the_spelled_factors(case):
     sample = build(entries, letters, max_len)
     words = sample.words
     union = spelled(entries, max_len)
-    haystack = extgraph_module._haystack(sample)
     for n in range(max_len + 3):
+        # The words of length n, and none past max_len.
+        haystack = extgraph_module._haystack(sample, n)
+        assert haystack == {u for u in union if len(u) == n}, n
         for u in map("".join, itertools.product(letters + "x", repeat=n)):
             assert (u in words) == (u in union), u
-            if n <= max_len and "x" not in u:
-                assert (u in words.text) == (u in union), u
-                assert (u in haystack) == (u in union), u
+            assert (u in haystack) == (u in union), u
     assert set(words) == union and len(words) == len(union)
     assert words == union and union == words and not words != union
     assert hash(words) == hash(union)
@@ -96,16 +104,23 @@ def test_lookups_stay_exact_when_the_sample_outgrows_its_words():
 
 
 def test_lookups_stay_exact_when_the_separator_is_a_letter():
-    # The repetitions of ab and ba are joined by the separator; an alphabet
-    # that has it as a letter must not see it as an extension.
+    # A sample whose alphabet holds '\x00' must not see it as an extension
+    # of words that never meet it, and must find it where it is a letter.
     words = sample_from_multiset(["ab", "ba"], AB, 4).words
-    alphabet = OrderedAlphabet(words.separator + "ab")
+    alphabet = OrderedAlphabet("\x00ab")
     sample = LanguageSample(words=words, max_len=4, alphabet=alphabet, source="hand")
     graph = extension_graph(sample, "b")
     assert (graph.left, graph.right) == (("a",), ("a",))
+    entries = ("a\x00b", "ba")
+    sample = sample_from_multiset(entries, alphabet, 4)
+    union = spelled(entries, 4)
+    for n in range(7):
+        for u in map("".join, itertools.product(alphabet.letters, repeat=n)):
+            assert (u in sample) == (u in union), u
+    assert extension_graph(sample, "\x00").edges == {("a", "b")}
 
 
-# -- searching or spelling ----------------------------------------------------------
+# -- spelling one length at a time ---------------------------------------------------
 
 
 def random_period(length, seed):
@@ -114,50 +129,86 @@ def random_period(length, seed):
 
 
 def test_the_text_is_searched_up_to_its_bound_and_spelled_past_it():
-    bound = extgraph_module.SEARCH_TEXT_PER_DEPTH * 10
-    # One period's text is its first |w| + max_len - 1 letters.
-    within = sample_from_periodic(random_period(bound - 9, 1), AB, 10)
-    past = sample_from_periodic(random_period(bound - 8, 1), AB, 10)
-    assert len(within.words.text) == bound
-    assert extgraph_module._haystack(within) is within.words.text
-    assert extgraph_module._haystack(past) is past.words._words
-    # Repeated entries add nothing to the text.
-    repeated = sample_from_multiset(["ab"] * 30 + ["ba"], AB, 4)
-    assert repeated.words.text == "ababa" + repeated.words.separator + "babab"
-    assert extgraph_module._haystack(repeated) is repeated.words.text
+    # Periods a little shorter and longer than the depth, and repeated
+    # entries, hold exactly the oracle's words of each length.
+    for entries in ([random_period(41, 1)], [random_period(42, 1)], ["ab"] * 30 + ["ba"]):
+        words = (sample_from_periodic(entries[0], AB, 10) if len(entries) == 1
+                 else sample_from_multiset(entries, AB, 10)).words
+        union = spelled(set(entries), 10)
+        for k in range(13):
+            assert words.of_length(k) == {u for u in union if len(u) == k}, k
 
 
-def test_a_period_up_to_the_depth_is_classified_by_search(monkeypatch):
+def test_a_period_up_to_the_depth_is_classified_by_search():
     period = random_period(200, 2)
     hand = LanguageSample(words=spelled((period,), 202), max_len=202, alphabet=AB, source="hand", bi_infinite=True)
     expected = classify(hand, "ab", "ab", 200)
-    monkeypatch.setattr(extgraph_module, "_periodic_factors", None)
     sample = sample_from_periodic(period, AB, 202)
     assert classify(sample, "ab", "ab", 200) == expected
     assert "_words" not in sample.words.__dict__
 
 
 def test_a_period_far_past_the_depth_is_classified_by_its_spelled_factors():
-    # 511 letters of text against depth 12: each lookup would read them all.
+    # A random period of 500 letters has special factors at every length up
+    # to 12, so every length is spelled.
     period = random_period(500, 3)
     sample = sample_from_periodic(period, AB, 12)
     report = classify(sample, "ab", "ab", 10)
-    assert "_words" in sample.words.__dict__
-    # Its extension graphs then look up in the spelled factors too.
-    assert extgraph_module._haystack(sample, spell=False) is sample.words._words
     hand = LanguageSample(words=spelled((period,), 12), max_len=12, alphabet=AB, source="hand", bi_infinite=True)
     assert report == classify(hand, "ab", "ab", 10)
 
 
-def test_one_extension_graph_searches_even_a_long_text(monkeypatch):
+def test_one_extension_graph_searches_even_a_long_text():
     period = random_period(500, 3)
     hand = LanguageSample(words=spelled((period,), 12), max_len=12, alphabet=AB, source="hand")
     expected = extension_graph(hand, "ab")
-    monkeypatch.setattr(extgraph_module, "_periodic_factors", None)
     assert extension_graph(sample_from_periodic(period, AB, 12), "ab") == expected
 
 
-# -- the command line spells no factor ---------------------------------------------
+def last_level(union, letters, up_to):
+    """The length at which ``classify`` stops on a word source under the
+    alphabet orders: the first with no special word, or ``up_to``."""
+    for k in range(up_to + 1):
+        for v in (u for u in union if len(u) == k):
+            left = [a for a in letters if a + v in union]
+            right = [b for b in letters if v + b in union]
+            if not (len(left) == len(right) == 1 and left[0] + v + right[0] in union):
+                break
+        else:
+            return k
+    return up_to
+
+
+@settings(max_examples=120, deadline=None)
+@given(word_sources(), st.data())
+def test_classify_spells_two_lengths_past_the_last_level_it_reads(case, data):
+    entries, letters, max_len = case
+    assume(max_len >= 2)
+    up_to = data.draw(st.integers(0, max_len - 2))
+    sample = build(entries, letters, max_len)
+    classify(sample, letters, letters, up_to)
+    assert max(sample.words._by_length) == last_level(spelled(entries, max_len), letters, up_to) + 2
+
+
+@settings(max_examples=120, deadline=None)
+@given(word_sources(), st.data())
+def test_one_extension_graph_spells_its_two_lengths(case, data):
+    entries, letters, max_len = case
+    assume(max_len >= 2)
+    v = data.draw(st.text(alphabet=letters, max_size=max_len - 2))
+    sample = build(entries, letters, max_len)
+    extension_graph(sample, v)
+    assert set(sample.words._by_length) == {len(v) + 1, len(v) + 2}
+
+
+def test_a_long_random_period_stops_spelling_early():
+    # Its last special factor is about twice log2(1000) letters long.
+    sample = sample_from_periodic(random_period(1000, 3), AB, 102)
+    classify(sample, "ab", "ab", 100)
+    assert max(sample.words._by_length) < 40
+
+
+# -- the command line never spells every factor at once ----------------------------
 
 
 CALLS = [
@@ -200,10 +251,10 @@ CALLS = [
     "argv, expected", CALLS, ids=["classify-periodic", "classify-multiset", "classify-junction", "extgraph-periodic"]
 )
 def test_word_sources_on_the_command_line_spell_no_factor(monkeypatch, argv, expected):
-    def no_spelling(*args, **kwargs):
-        raise AssertionError("a word source spelled its factors")
+    def no_spelling(self):
+        raise AssertionError("a word source spelled all its factors")
 
-    monkeypatch.setattr(extgraph_module, "_periodic_factors", no_spelling)
+    monkeypatch.setattr(extgraph_module.PeriodicFactors, "_words", property(no_spelling))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         status = main(argv)
