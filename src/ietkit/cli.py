@@ -28,7 +28,6 @@ from .extgraph import (
     is_compatible,
     is_forest,
     is_tree,
-    order_from_permutation,
     sample_from_iet,
     sample_from_multiset,
     sample_from_periodic,
@@ -99,9 +98,7 @@ def _cluster_payload(word_display: str, report: ClusteringReport) -> dict:
         "input": word_display,
         "transform": report.transform,
         "blocks": list(report.block_order),
-        "permutation": report.permutation.one_line_letters(report.support)
-        if report.permutation is not None
-        else None,
+        "permutation": "".join(report.block_order) if report.is_clustering else None,
         "perfect": report.is_perfect,
     }
 
@@ -121,8 +118,7 @@ def _print_with_json(lines: list[str], path: str | None, payload: dict) -> int:
 def _cluster_lines(report: ClusteringReport) -> list[str]:
     lines = [f"transform: {report.transform}", f"blocks: {' '.join(report.block_order)}"]
     if report.is_clustering:
-        perm = report.permutation.one_line_letters(report.support)
-        lines.append(f"clustering: yes (permutation {perm} on support {report.support})")
+        lines.append(f"clustering: yes (permutation {''.join(report.block_order)} on support {report.support})")
         lines.append(f"perfect: {'yes' if report.is_perfect else 'no'}")
     else:
         lines += ["clustering: no", "perfect: no"]
@@ -132,8 +128,8 @@ def _cluster_lines(report: ClusteringReport) -> list[str]:
 def _parse_source(text: str, alphabet_text: str | None, max_len: int):
     """Build a LanguageSample from 'periodic:w', 'multiset:w1,w2' or 'iet:file'.
 
-    Returns (sample, entries, source_permutation): the word list for word
-    sources, and the instance permutation for interval exchange sources.
+    Returns (sample, entries, image_order): the word list for word sources,
+    and the instance's image order of letters for interval exchange sources.
     """
     if ":" not in text:
         raise ValueError(f"bad source {text!r}, expected periodic:..., multiset:... or iet:...")
@@ -152,13 +148,17 @@ def _parse_source(text: str, alphabet_text: str | None, max_len: int):
     except SampleTooLargeError as exc:
         raise ValueError(f"--depth is too large for this source: {exc}") from None
     if kind == "iet":
+        if alphabet_text:
+            raise ValueError(
+                "--alphabet applies to word sources only: an iet: source takes its alphabet from its instance file"
+            )
         iet = parse_iet_file(body)
         _require_letters(f"--depth is too large for this source: a sample of depth {max_len}", iet, max_len)
-        return sample_from_iet(iet, max_len, label=text), None, iet.permutation
+        return sample_from_iet(iet, max_len, label=text), None, iet.image_order_letters()
     raise ValueError(f"unknown source kind {kind!r}")
 
 
-def _orders_for(sample: LanguageSample, entries, source_pi, spec: str):
+def _orders_for(sample: LanguageSample, entries, image_order, spec: str):
     """Resolve an order pair 'left:right'; each side is A, pi, or explicit letters."""
     left_text, _, right_text = spec.partition(":")
     if not right_text:
@@ -168,8 +168,8 @@ def _orders_for(sample: LanguageSample, entries, source_pi, spec: str):
         if token == "A":
             return sample.alphabet.letters
         if token == "pi":
-            if source_pi is not None:
-                return order_from_permutation(source_pi, sample.alphabet)
+            if image_order is not None:
+                return image_order
             if len(entries) > 1:
                 report = multiset_clustering_report(entries, sample.alphabet)
             else:
@@ -178,7 +178,7 @@ def _orders_for(sample: LanguageSample, entries, source_pi, spec: str):
                 raise ValueError(
                     f"source is not clustering over {sample.alphabet}, cannot derive the pi order"
                 )
-            return order_from_permutation(report.permutation, sample.alphabet)
+            return report.block_order
         return OrderedAlphabet(token).letters
 
     return resolve(left_text), resolve(right_text)
@@ -364,10 +364,10 @@ def _cmd_iet_returns(args) -> int:
 def _cmd_extgraph(args) -> int:
     if args.depth < 1:
         raise ValueError(f"--depth must be at least 1, got {args.depth}")
-    sample, entries, source_pi = _parse_source(args.source, args.alphabet, args.depth)
+    sample, entries, image_order = _parse_source(args.source, args.alphabet, args.depth)
     word = _word_arg(args.word)
     graph = extension_graph(sample, word)
-    order1, order2 = _orders_for(sample, entries, source_pi, args.orders)
+    order1, order2 = _orders_for(sample, entries, image_order, args.orders)
     compatible = is_compatible(graph, order1, order2)  # raises, before any output, on an unranked vertex
     print(f"source: {sample.source}")
     print(f"word: {word or 'ε'}")
@@ -379,15 +379,10 @@ def _cmd_extgraph(args) -> int:
     print(f"forest: {'yes' if is_forest(graph) else 'no'}")
     print(f"compatible: {'yes' if compatible else 'no'}")
     if args.layout:
-        by_left: dict[str, list[str]] = {}
-        for a, b in graph.edges:
-            by_left.setdefault(a, []).append(b)
         print("layout:")
         for a in order1:
-            if a not in graph.left:
-                continue
-            targets = " ".join(sorted(by_left.get(a, []), key=order2.index))
-            print(f"  {a} | {targets}")
+            if a in graph.left:
+                print(f"  {a} | {' '.join(b for x, b in shown if x == a)}")
     return 0
 
 
@@ -396,8 +391,8 @@ def _cmd_classify(args) -> int:
         # The message classify() itself gives, before the sample depth
         # args.depth + 2 can fail on its own terms.
         raise ValueError(f"classification depth must be nonnegative, got {args.depth}")
-    sample, entries, source_pi = _parse_source(args.source, args.alphabet, args.depth + 2)
-    order1, order2 = _orders_for(sample, entries, source_pi, args.orders)
+    sample, entries, image_order = _parse_source(args.source, args.alphabet, args.depth + 2)
+    order1, order2 = _orders_for(sample, entries, image_order, args.orders)
     report = classify(sample, order1, order2, args.depth)
     print(f"source: {sample.source}")
     print(f"checked words up to length {report.checked_up_to} (bounded-depth verdicts)")

@@ -88,10 +88,8 @@ def diet_action(diet: Diet) -> Permutation:
     t_i, so its 0-based images are one run, range(start + t_i, start + n_i + t_i).
     """
     images: list[int] = []
-    start = 0
-    for part, shift in zip(diet.composition, diet.shifts):
+    for start, part, shift in zip(diet._starts, diet.composition, diet.shifts):
         images.extend(range(start + shift, start + part + shift))
-        start += part
     return Permutation(images)
 
 

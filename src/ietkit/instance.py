@@ -45,6 +45,8 @@ def _radicand(text: str, previous: int | None) -> int:
         d = int(text)
     except ValueError:
         raise ValueError(f"radicand must be an integer, got {text!r}") from None
+    if d < 0:
+        raise ValueError(f"radicand must be nonnegative, got {d}")
     if previous is not None and d != previous:
         raise ValueError(f"mixed radicands: d = {previous} then d = {d}")
     if d > MAX_RADICAND:

@@ -40,8 +40,9 @@ produces).
 The step sequence onto a cylinder is a walk that takes, at each state, a
 step whose cut keeps the cylinder inside the domain.  Cylinders of a regular
 transformation are admissible intervals (Dolce and Perrin, 2017), so such a
-step exists and never leads to a dead end: every step built is kept.  Only
-a walk's first state is tested for irreducibility, since a step keeps it.
+step exists and never leads to a dead end: every step built is kept.  The
+instance's irreducibility is tested once, before a walk's first new step;
+every state of the chain keeps it.
 
 Because ``cyl(wa)`` lies inside ``cyl(w)``, the walk onto ``cyl(wa)`` may
 resume from the final state of the walk onto ``cyl(w)``.  That state is the
@@ -260,7 +261,7 @@ def induce_to_cylinder(
                 f"(steps taken: {len(steps)}); the transformation has a connection"
             )
         if len(steps) == len(start.steps):
-            _inducible(states[-1])
+            _inducible(iet)
         state, record = _step(states[-1], kind)
         steps.append(record)
         states.append(state)

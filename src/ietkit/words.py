@@ -357,28 +357,10 @@ def lyndon_representative(w: str, alphabet: OrderedAlphabet) -> str:
 
 
 def is_lyndon(w: str, alphabet: OrderedAlphabet) -> bool:
-    """Whether w is strictly less than all its other rotations, in O(|w|) time.
-
-    Duval's scan keeps the period ``j - i`` of the prefix read so far, a
-    prefix of a power of a Lyndon word: a letter bigger than the one a
-    period back makes the whole prefix Lyndon, an equal one keeps the
-    period, and a smaller one ends the first Lyndon factor before the end
-    of w.  So w is Lyndon exactly when its final period is |w|.  Symbols
-    outside the alphabet raise ValueError.
-    """
-    if not w:
-        return False
-    s = alphabet.key(w)
-    i = 0
-    for j in range(1, len(s)):
-        a, b = s[i], s[j]
-        if a < b:
-            i = 0
-        elif a == b:
-            i += 1
-        else:
-            return False
-    return i == 0
+    """Whether w is strictly less than all its other rotations: primitive
+    and its own Lyndon conjugate.  Symbols outside the alphabet raise
+    ValueError."""
+    return bool(alphabet.require(w)) and is_primitive(w) and lyndon_representative(w, alphabet) == w
 
 
 def parikh(w: str, alphabet: OrderedAlphabet) -> dict[str, int]:

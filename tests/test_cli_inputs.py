@@ -362,3 +362,32 @@ def test_a_foreign_letter_is_named_before_the_image_is_counted(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: symbol 'x' is not in alphabet ab\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--source", "iet:{golden}", "--depth", "3", "--alphabet", "xyz"],
+    ["extgraph", "--source", "iet:{golden}", "--word", "a", "--alphabet", "zz"],
+    ["extgraph", "--source", "iet:{golden}", "--word", "a", "--alphabet", "abc"],
+    ["classify", "--source", "iet:no/such/file.iet", "--depth", "3", "--alphabet", "abc"],
+], ids=["classify", "extgraph", "extgraph-same-letters", "before-the-file-is-read"])
+def test_an_iet_source_refuses_an_alphabet(capsys, golden_file, argv):
+    """An ``iet:`` source takes its letters and their order from its instance
+    file, so ``--alphabet`` is refused rather than ignored."""
+    assert main([arg.format(golden=golden_file) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --alphabet applies to word sources only: an iet: source takes its alphabet from its instance file\n"
+    )
+
+
+def test_a_negative_radicand_is_refused_as_negative(tmp_path, capsys):
+    """-2 has no square factor; it is refused because a radicand is nonnegative."""
+    path = write_instance(tmp_path, -2)
+    message = "line 2: radicand must be nonnegative, got -2"
+    with pytest.raises(IetFileError, match=f"^{message}$"):
+        parse_iet_file(path)
+    assert main(["iet", "check", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

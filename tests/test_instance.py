@@ -53,6 +53,8 @@ def oracle_parse(path: str) -> Iet:
                 new_d = int(value)
             except ValueError:
                 raise IetFileError(line_no, f"radicand must be an integer, got {value!r}") from None
+            if new_d < 0:
+                raise IetFileError(line_no, f"radicand must be nonnegative, got {new_d}")
             if d_line is not None and new_d != d:
                 raise IetFileError(line_no, f"mixed radicands: d = {d} then d = {new_d}")
             if new_d > MAX_RADICAND:

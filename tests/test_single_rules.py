@@ -4,7 +4,9 @@ The Rauzy step used to update its state in four branches, one per kind and
 case, and built its morphism by hand; the image order of a permutation was
 computed separately by ``Iet``, ``order_from_permutation`` and
 ``restricted_permutation``.  Each oracle below is that earlier code, and
-the current single rule must agree with it on random inputs.
+the current single rule must agree with it on random inputs.  The Lyndon
+test used to run Duval's scan beside the least-conjugate race of
+``lyndon_representative``, and is now the definition over that race.
 """
 
 import pytest
@@ -13,7 +15,8 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ietkit import Iet, OrderedAlphabet, Permutation, QuadNum  # noqa: E402
+import ietkit.rauzy  # noqa: E402
+from ietkit import Iet, OrderedAlphabet, Permutation, QuadNum, is_lyndon  # noqa: E402
 from ietkit.extgraph import order_from_permutation, sample_from_multiset  # noqa: E402
 from ietkit.morphisms import Morphism, make_alpha, make_alpha_tilde, substitution  # noqa: E402
 from ietkit.rauzy import (  # noqa: E402
@@ -26,7 +29,7 @@ from ietkit.rauzy import (  # noqa: E402
     _step,
     step_morphism,
 )
-from ietkit.verify import restricted_permutation  # noqa: E402
+from ietkit.verify import restricted_permutation, verify_return_words  # noqa: E402
 
 LETTERS = "abcdefg"
 
@@ -106,6 +109,25 @@ def oracle_alpha(a: str, b: str, alphabet: OrderedAlphabet, tilde: bool) -> Morp
     images = {c: c for c in alphabet}
     images[a] = b + a if tilde else a + b
     return Morphism(alphabet, alphabet, images)
+
+
+def oracle_is_lyndon(w: str, alphabet: OrderedAlphabet) -> bool:
+    """Duval's scan: ``i`` trails ``j`` by the period of the prefix read so
+    far; a bigger letter resets the period to the whole prefix, an equal one
+    keeps it, and a smaller one ends the first Lyndon factor before the end."""
+    if not w:
+        return False
+    s = alphabet.key(w)
+    i = 0
+    for j in range(1, len(s)):
+        a, b = s[i], s[j]
+        if a < b:
+            i = 0
+        elif a == b:
+            i += 1
+        else:
+            return False
+    return i == 0
 
 
 # -- strategies ----------------------------------------------------------------
@@ -191,3 +213,44 @@ def test_return_words_of_the_empty_word_are_the_letters(golden):
 def test_a_multiset_sample_refuses_an_empty_entry():
     with pytest.raises(ValueError, match="nonempty words"):
         sample_from_multiset(["", "ab"], OrderedAlphabet("ab"), 3)
+
+
+# Words over a reordering of abc and one foreign symbol z: the empty word,
+# any short word, and proper powers of short words.
+lyndon_cases = st.tuples(
+    st.permutations("abc").map(OrderedAlphabet),
+    st.one_of(
+        st.text("abcz", max_size=9),
+        st.builds(lambda u, p: u * p, st.text("abc", min_size=1, max_size=4), st.integers(2, 3)),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=lyndon_cases)
+def test_the_lyndon_test_matches_duvals_scan(case):
+    alphabet, w = case
+    try:
+        expected = oracle_is_lyndon(w, alphabet)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            is_lyndon(w, alphabet)
+        assert str(caught.value) == str(exc)
+    else:
+        assert is_lyndon(w, alphabet) is expected
+
+
+def test_induction_tests_irreducibility_on_the_instance(monkeypatch, golden):
+    """Every walk of ``verify``, resumed ones included, tests the instance
+    itself, whose permutation is built once, not the state it resumes from."""
+    seen = []
+    inducible = ietkit.rauzy._inducible
+
+    def recording(iet):
+        seen.append(iet)
+        return inducible(iet)
+
+    monkeypatch.setattr(ietkit.rauzy, "_inducible", recording)
+    verify_return_words(golden, 6)
+    assert seen
+    assert all(iet is golden for iet in seen)
