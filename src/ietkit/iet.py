@@ -660,11 +660,13 @@ class Iet:
         Starting from the midpoint of the cylinder of ``w``, the trajectory is
         cut at successive occurrences of ``w`` (overlaps included); the pieces
         between consecutive occurrence starts are the return words.  The scan
-        stops once ``expected`` distinct words are found and raises
+        stops once ``expected`` (at least 1) distinct words are found and raises
         :class:`IncompleteScanError` if the horizon runs out first.  The
         return words of the empty word are the letters.  ``cylinder``, when
         given, must be ``self.cylinder(w)``, which is then not computed again.
         """
+        if expected is not None and expected <= 0:
+            raise ValueError("expected must be positive")
         if not w:
             return frozenset(self._alphabet.letters)
         block = self.cylinder(w) if cylinder is None else cylinder

@@ -1,16 +1,19 @@
 """Verification harness: every return word of a regular exchange is clustering.
 
 :func:`verify_return_words` checks, for every factor of an exchange's language
-up to a length bound, that the scan and induction constructions of its
-return words agree and that every return word is clustering, deciding that
-once per conjugacy class, since rotations share one transform.  The report
-is ok exactly when no failure was recorded.  :func:`emit_report` serializes
-it as text or as JSON with sorted keys, so identical inputs give identical
-bytes.
+up to a length bound, that two independent constructions of its return words
+agree and that every return word is clustering, deciding that once per
+conjugacy class, since rotations share one transform.  The first
+construction is Rauzy induction.  The second is a trajectory scan for the
+letters and the fresh words, and an exact derivation from a shorter word's
+set for every other word.  The report is ok exactly when no failure was
+recorded.  :func:`emit_report` serializes it as text or as JSON with sorted
+keys, so identical inputs give identical bytes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 
@@ -91,13 +94,32 @@ def verify_return_words(
     """Check the clustering property of all return words up to ``max_len``.
 
     For every nonempty factor w of the language: compute the return words by
-    trajectory scan and by induction, require the two sets to be equal, and
-    require every return word to be clustering.  The clustering permutation
-    of each return word is also compared against the instance permutation
-    restricted to its support; that comparison is recorded, never judged.
-    ``cap`` bounds each word's chain of Rauzy steps (see
-    :func:`~ietkit.rauzy.induce_to_cylinder`).  With ``trace`` each record
-    keeps the letter images of its induction morphism.
+    induction and by a second method, require the two sets to be equal, and
+    require every return word to be clustering.  The return words of w are
+    the pieces between consecutive starts of its occurrences, and the second
+    method derives them from a shorter word's set where the extensions of the
+    language force them:
+
+    - if ``w[:-1]`` has one right extension, every occurrence of ``w[:-1]``
+      is one of w, so w has the return words of ``w[:-1]``;
+    - otherwise, if ``w[1:]`` has one left extension ``b = w[0]``, every
+      occurrence of ``w[1:]`` is preceded by b, so the occurrences of w start
+      one place earlier: each return word u of ``w[1:]`` ends in b, and w
+      has the words ``b + u[:-1]``.
+
+    Every other word is *fresh*: a letter, or ``bva`` with v bispecial.  A
+    fresh word's set is scanned from its trajectory.  A derivation reads only
+    a source set that is complete: scanned with all ``d`` words found, or
+    derived from such a set.  So a word whose source scan was incomplete, or
+    whose source induction failed, is scanned itself, and it records the same
+    failures as under a scan of every word.  The derivation never reads the
+    induction, so the two methods stay independent.
+
+    The clustering permutation of each return word is also compared against
+    the instance permutation restricted to its support; that comparison is
+    recorded, never judged.  ``cap`` bounds each word's chain of Rauzy steps
+    (see :func:`~ietkit.rauzy.induce_to_cylinder`).  With ``trace`` each
+    record keeps the letter images of its induction morphism.
 
     Refuses instances whose finite-depth connection check fails.
     """
@@ -111,6 +133,8 @@ def verify_return_words(
     alphabet = iet.alphabet
     key = lambda w: (len(w), alphabet.key(w))
     words = [w for row in iet.language(max_len).by_length[1:] for w in row]
+    # Each word's number of right and of left extensions, for all but the longest.
+    rights, lefts = Counter(w[:-1] for w in words), Counter(w[1:] for w in words)
     failures: list[Failure] = []
     records: list[WordRecord] = []
     # Each return word is checked once, reusing the check of a conjugate: u
@@ -119,11 +143,14 @@ def verify_return_words(
     classes: dict[int, dict[str, ReturnWordCheck]] = {}  # by length: vv -> the check of v
     # Each walk resumes from its prefix's trace, except under ``trace``: the
     # resumed final map names its letters differently, and the printed theta
-    # is keyed by letter.  Only the traces of the previous length are kept.
+    # is keyed by letter.  Traces and complete second-method sets (see above)
+    # are kept for the previous length only.
     traces: dict[str, InductionTrace] = {}
+    complete: dict[str, frozenset[str]] = {}
     for w in words:
         if len(next(iter(traces), w)) < len(w) - 1:
             traces = {u: t for u, t in traces.items() if len(u) == len(w) - 1}
+            complete = {u: s for u, s in complete.items() if len(u) == len(w) - 1}
         try:
             start = None if trace else traces.get(w[:-1])
             try:
@@ -141,14 +168,19 @@ def verify_return_words(
         traces[w] = trace_result
         images = tuple((c, trace_result.theta(c)) for c in trace_result.theta.source)
         induced = frozenset(u for _, u in images)
-        try:
-            scanned = iet.return_words_scan(w, cylinder=trace_result.final.domain)  # the walk ends on cyl(w)
-        except IncompleteScanError as exc:
-            failures.append(Failure(w, None, None, f"scan incomplete: {exc}"))
-            scanned = exc.words
-        agreement = scanned == induced
+        if w[:-1] in complete and rights[w[:-1]] == 1:
+            second = complete[w] = complete[w[:-1]]
+        elif w[1:] in complete and lefts[w[1:]] == 1:
+            second = complete[w] = frozenset(w[0] + u[:-1] for u in complete[w[1:]])
+        else:
+            try:  # the walk ends on cyl(w)
+                second = complete[w] = iet.return_words_scan(w, cylinder=trace_result.final.domain)
+            except IncompleteScanError as exc:
+                failures.append(Failure(w, None, None, f"scan incomplete: {exc}"))
+                second = exc.words
+        agreement = second == induced
         if not agreement:
-            reason = f"methods disagree: scan {sorted(scanned)} vs induction {sorted(induced)}"
+            reason = f"methods disagree: scan {sorted(second)} vs induction {sorted(induced)}"
             failures.append(Failure(w, None, None, reason))
         return_words = tuple(sorted(induced, key=key))
         checks = []

@@ -211,3 +211,9 @@ class TestReturnWordScan:
         with pytest.raises(IncompleteScanError) as err:
             golden.return_words_scan("b", horizon=4)
         assert err.value.words <= {"b", "bac", "bacc"}
+
+    @pytest.mark.parametrize("w", ["b", ""])
+    @pytest.mark.parametrize("expected", [0, -3])
+    def test_expected_must_be_positive(self, golden, w, expected):
+        with pytest.raises(ValueError, match="expected must be positive"):
+            golden.return_words_scan(w, expected=expected)
