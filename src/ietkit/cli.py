@@ -58,28 +58,31 @@ MAX_IMAGE_LETTERS = 10**8
 MAX_RETURN_SLOTS = 50_000
 
 
+def _require_nonnegative(flag: str, value: int) -> None:
+    """Refuse, before any work, a negative count given to ``flag``."""
+    if value < 0:
+        raise ValueError(f"{flag} must be nonnegative, got {value}")
+
+
 def _require_steps(what: str, steps: int) -> None:
     """Refuse, before any work, a request of more than MAX_ORBIT_STEPS orbit steps."""
     if steps > MAX_ORBIT_STEPS:
         raise ValueError(f"{what} would take {steps} orbit steps, more than {MAX_ORBIT_STEPS}")
 
 
-def _require_letters(what: str, iet: Iet, max_len: int) -> None:
-    """Refuse, before any work, a language of words up to ``max_len`` that
+def _require_letters(what: str, iet: Iet, n: int) -> None:
+    """Refuse, before any work, a language of words up to length ``n`` that
     could spell more than MAX_LANGUAGE_LETTERS letters: words of length k
-    number at most (d - 1) k + 1 in any exchange.  A negative length counts
-    as 0 and is left to the language's own error."""
-    n = max(max_len, 0)
+    number at most (d - 1) k + 1 in any exchange."""
     letters = (iet.d - 1) * n * (n + 1) * (2 * n + 1) // 6 + n * (n + 1) // 2
     if letters > MAX_LANGUAGE_LETTERS:
         raise ValueError(f"{what} would spell {letters} letters, more than {MAX_LANGUAGE_LETTERS}")
 
 
-def _require_slots(what: str, iet: Iet, max_len: int) -> None:
+def _require_slots(what: str, iet: Iet, n: int) -> None:
     """Refuse, before any work, a ``verify`` report of more than
     MAX_RETURN_SLOTS return words: d for each of the at most (d - 1) k + 1
-    words of each length k = 1..max_len."""
-    n = max(max_len, 0)
+    words of each length k = 1..n."""
     slots = iet.d * ((iet.d - 1) * n * (n + 1) // 2 + n)
     if slots > MAX_RETURN_SLOTS:
         raise ValueError(f"{what} would report {slots} return words, more than {MAX_RETURN_SLOTS}")
@@ -135,15 +138,13 @@ def _parse_source(text: str, alphabet_text: str | None, max_len: int):
         raise ValueError(f"bad source {text!r}, expected periodic:..., multiset:... or iet:...")
     kind, _, body = text.partition(":")
     try:
-        if kind == "periodic":
-            alphabet = OrderedAlphabet(alphabet_text) if alphabet_text else OrderedAlphabet(sorted(set(body)))
-            return sample_from_periodic(body, alphabet, max_len), [body], None
-        if kind == "multiset":
-            entries = [w for w in body.split(",") if w]
+        if kind in ("periodic", "multiset"):
+            entries = [body] if kind == "periodic" else [w for w in body.split(",") if w]
             if not entries:
                 raise ValueError("empty multiset source")
-            letters = sorted(set("".join(entries)))
-            alphabet = OrderedAlphabet(alphabet_text) if alphabet_text else OrderedAlphabet(letters)
+            alphabet = OrderedAlphabet(alphabet_text or sorted(set("".join(entries))))
+            if kind == "periodic":
+                return sample_from_periodic(body, alphabet, max_len), entries, None
             return sample_from_multiset(entries, alphabet, max_len), entries, None
     except SampleTooLargeError as exc:
         raise ValueError(f"--depth is too large for this source: {exc}") from None
@@ -236,6 +237,8 @@ def _cmd_diet(args) -> int:
         parts = [int(s) for s in args.composition.split(",") if s]
     except ValueError:
         raise ValueError(f"--composition must be comma-separated integers, got {args.composition!r}") from None
+    if not parts:
+        raise ValueError(f"--composition must have at least one part, got {args.composition!r}")
     letters = args.alphabet or "abcdefghijklmnopqrstuvwxyz"[: len(parts)]
     alphabet = OrderedAlphabet(letters)
     pi = Permutation.parse(args.pi, alphabet)
@@ -268,8 +271,7 @@ def _print_iet(iet: Iet, indent: str = "") -> None:
 
 
 def _cmd_iet_check(args) -> int:
-    if args.depth < 0:
-        raise ValueError(f"--depth must be nonnegative, got {args.depth}")
+    _require_nonnegative("--depth", args.depth)
     iet = parse_iet_file(args.file)
     # The connection check follows d - 1 orbits for --depth steps each.
     _require_steps(f"--depth {args.depth}", (iet.d - 1) * args.depth)
@@ -294,6 +296,7 @@ def _cmd_iet_traj(args) -> int:
 
 
 def _cmd_iet_language(args) -> int:
+    _require_nonnegative("--max-len", args.max_len)
     iet = parse_iet_file(args.file)
     _require_letters(f"--max-len {args.max_len}", iet, args.max_len)
     for k, row in enumerate(iet.language(args.max_len).by_length):
@@ -407,6 +410,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _require_nonnegative("--keane-depth", args.keane_depth)
+    _require_nonnegative("--max-len", args.max_len)
     iet = parse_iet_file(args.file)
     _require_steps(f"--keane-depth {args.keane_depth}", (iet.d - 1) * args.keane_depth)
     _require_letters(f"--max-len {args.max_len}", iet, args.max_len)

@@ -95,13 +95,6 @@ class Interval:
     left: QuadNum | None
     right: QuadNum | None
 
-    @staticmethod
-    def of(left: QuadNum, right: QuadNum) -> "Interval":
-        """Interval [left, right), collapsing to EMPTY when left >= right."""
-        if left < right:
-            return Interval(left, right)
-        return EMPTY
-
     @property
     def is_empty(self) -> bool:
         return self.left is None
@@ -126,7 +119,7 @@ class Interval:
             return EMPTY
         lo = self.left if self.left >= other.left else other.left
         hi = self.right if self.right <= other.right else other.right
-        return Interval.of(lo, hi)
+        return Interval(lo, hi) if lo < hi else EMPTY
 
     def translate(self, t: QuadNum) -> "Interval":
         if self.is_empty:
@@ -446,10 +439,9 @@ class Iet:
         letters into the block is its start plus ``steps[i][j]``), and the
         range ``[lo, hi)`` of the blocks that T^K of the cylinder meets,
         from one merge of the images with the left ends.  By the left-end
-        lemma (``T^j`` would move ``[x - e, x]`` onto ``[b - e, b]``, see
-        :meth:`_refine`), a point that meets an interior bound within ``_K``
-        steps is a left end.  Built on first orbit use, since Rauzy states
-        never walk orbits.
+        lemma of :meth:`_refine`, a point that meets an interior bound within
+        ``_K`` steps is a left end.  Built on first orbit use, since Rauzy
+        states never walk orbits.
         """
         if self._table is None:
             _, d, _, rows = self._grid
@@ -501,8 +493,7 @@ class Iet:
         the block whose cylinder contains it; the table is read times ``m``.
         The next ``_K`` letters are the block's word, and the next point's
         block is searched for in the block's range only.  By the left-end
-        lemma (``T^j`` would move ``[x - e, x]`` onto ``[b - e, b]``, see
-        :meth:`_refine`), that range is cut only where orbits meet an
+        lemma of :meth:`_refine`, that range is cut only where orbits meet an
         interior bound within ``_K`` steps.
 
         ``x`` is located with :meth:`letter_at` first, so a point outside the
@@ -552,9 +543,9 @@ class Iet:
 
         Exact equality tests only; finding nothing up to ``depth`` certifies
         regularity to that depth and no further.  A block's points are tested
-        only when it starts at the left end of its cylinder: if ``T^j(x)`` is
-        an interior bound ``b`` with ``j < _K``, ``x`` is such a left end, or
-        ``T^j`` would move ``[x - e, x]`` onto ``[b - e, b]`` (see :meth:`_refine`).
+        only when it starts at the left end of its cylinder, since by the
+        left-end lemma of :meth:`_refine` a point that meets an interior
+        bound within ``_K`` steps is one.
         """
         if depth < 0:
             raise ValueError("depth must be nonnegative")
@@ -652,24 +643,23 @@ class Iet:
                 return QuadNum(P, Q, R * m, d), steps
         raise CapExceededError(f"no return to {sub} within {cap} steps from {z}")
 
-    def return_words_scan(
-        self, w: str, horizon: int | None = None, expected: int | None = None, cylinder: Interval | None = None
-    ) -> frozenset[str]:
+    def return_words_scan(self, w: str, horizon: int | None = None, expected: int | None = None) -> frozenset[str]:
         """Return words to ``w`` read off one trajectory.
 
         Starting from the midpoint of the cylinder of ``w``, the trajectory is
         cut at successive occurrences of ``w`` (overlaps included); the pieces
         between consecutive occurrence starts are the return words.  The scan
         stops once ``expected`` (at least 1) distinct words are found and raises
-        :class:`IncompleteScanError` if the horizon runs out first.  The
-        return words of the empty word are the letters.  ``cylinder``, when
-        given, must be ``self.cylinder(w)``, which is then not computed again.
+        :class:`IncompleteScanError` if the horizon (at least 1) runs out
+        first.  The return words of the empty word are the letters.
         """
         if expected is not None and expected <= 0:
             raise ValueError("expected must be positive")
+        if horizon is not None and horizon <= 0:
+            raise ValueError("horizon must be positive")
         if not w:
             return frozenset(self._alphabet.letters)
-        block = self.cylinder(w) if cylinder is None else cylinder
+        block = self.cylinder(w)
         if block.is_empty:
             raise ValueError(f"{w!r} is not in the language of this transformation")
         if expected is None:
@@ -681,21 +671,20 @@ class Iet:
         found: set[str] = set()
         text = ""
         prev_start: int | None = None
-        if horizon > 0:
-            for i, _, _ in self._walk(block.midpoint()):
-                text += words[i]
-                # Occurrences that end in the new block and not past the
-                # horizon, in order.
-                start = text.find(w, max(0, len(text) - _K - k + 1), horizon)
-                while start >= 0:
-                    if prev_start is not None:
-                        found.add(text[prev_start:start])
-                        if len(found) >= expected:
-                            return frozenset(found)
-                    prev_start = start
-                    start = text.find(w, start + 1, horizon)
-                if len(text) >= horizon:
-                    break
+        for i, _, _ in self._walk(block.midpoint()):
+            text += words[i]
+            # Occurrences that end in the new block and not past the
+            # horizon, in order.
+            start = text.find(w, max(0, len(text) - _K - k + 1), horizon)
+            while start >= 0:
+                if prev_start is not None:
+                    found.add(text[prev_start:start])
+                    if len(found) >= expected:
+                        return frozenset(found)
+                prev_start = start
+                start = text.find(w, start + 1, horizon)
+            if len(text) >= horizon:
+                break
         raise IncompleteScanError(
             f"horizon {horizon} exhausted with {len(found)} of {expected} return words for {w!r}",
             frozenset(found),

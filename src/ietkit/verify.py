@@ -5,10 +5,11 @@ up to a length bound, that two independent constructions of its return words
 agree and that every return word is clustering, deciding that once per
 conjugacy class, since rotations share one transform.  The first
 construction is Rauzy induction.  The second is a trajectory scan for the
-letters and the fresh words, and an exact derivation from a shorter word's
-set for every other word.  The report is ok exactly when no failure was
-recorded.  :func:`emit_report` serializes it as text or as JSON with sorted
-keys, so identical inputs give identical bytes.
+letters and the fresh words, from a cylinder that the scan computes itself,
+and an exact derivation from a shorter word's set for every other word.
+The report is ok exactly when no failure was recorded.  :func:`emit_report`
+serializes it as text or as JSON with sorted keys, so identical inputs give
+identical bytes.
 """
 
 from __future__ import annotations
@@ -108,12 +109,13 @@ def verify_return_words(
       has the words ``b + u[:-1]``.
 
     Every other word is *fresh*: a letter, or ``bva`` with v bispecial.  A
-    fresh word's set is scanned from its trajectory.  A derivation reads only
+    fresh word's set is scanned from a trajectory that starts in its
+    cylinder, which the scan computes itself.  A derivation reads only
     a source set that is complete: scanned with all ``d`` words found, or
     derived from such a set.  So a word whose source scan was incomplete, or
     whose source induction failed, is scanned itself, and it records the same
-    failures as under a scan of every word.  The derivation never reads the
-    induction, so the two methods stay independent.
+    failures as under a scan of every word.  Neither the scan nor the
+    derivation reads the induction, so the two methods stay independent.
 
     The clustering permutation of each return word is also compared against
     the instance permutation restricted to its support; that comparison is
@@ -173,8 +175,8 @@ def verify_return_words(
         elif w[1:] in complete and lefts[w[1:]] == 1:
             second = complete[w] = frozenset(w[0] + u[:-1] for u in complete[w[1:]])
         else:
-            try:  # the walk ends on cyl(w)
-                second = complete[w] = iet.return_words_scan(w, cylinder=trace_result.final.domain)
+            try:
+                second = complete[w] = iet.return_words_scan(w)
             except IncompleteScanError as exc:
                 failures.append(Failure(w, None, None, f"scan incomplete: {exc}"))
                 second = exc.words

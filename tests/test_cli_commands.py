@@ -80,6 +80,20 @@ def test_iet_check_prints_nothing_before_refusing_its_depth(capsys, golden_file)
     assert captured.err == "error: --depth must be nonnegative, got -1\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--keane-depth", "-5"], "--keane-depth must be nonnegative, got -5"),
+    (["verify", "--max-len", "-1"], "--max-len must be nonnegative, got -1"),
+    (["verify", "--max-len", "-1", "--keane-depth", "-5"], "--keane-depth must be nonnegative, got -5"),
+    (["iet", "language", "--max-len", "-1"], "--max-len must be nonnegative, got -1"),
+])
+def test_a_negative_count_is_refused_by_its_flag_before_the_file_is_read(monkeypatch, capsys, golden_file, argv, message):
+    read = []
+    monkeypatch.setattr(cli, "parse_iet_file", lambda path: read.append(path))
+    assert main([*argv, golden_file]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err, read) == ("", f"error: {message}\n", [])
+
+
 @pytest.mark.parametrize("composition", ["2,x", "4,2.5,1", "a"])
 def test_diet_names_a_bad_composition(capsys, composition):
     code = main(["diet", "--composition", composition, "--pi", "ba"])

@@ -391,3 +391,12 @@ def test_a_negative_radicand_is_refused_as_negative(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("composition", [",", "", ",,"])
+def test_an_empty_composition_is_refused_as_empty(capsys, composition):
+    """Not as an empty default alphabet, which the user never gave."""
+    assert main(["diet", "--composition", composition, "--pi", "ba"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --composition must have at least one part, got {composition!r}\n"

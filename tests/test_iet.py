@@ -217,3 +217,9 @@ class TestReturnWordScan:
     def test_expected_must_be_positive(self, golden, w, expected):
         with pytest.raises(ValueError, match="expected must be positive"):
             golden.return_words_scan(w, expected=expected)
+
+    @pytest.mark.parametrize("w", ["b", ""])
+    @pytest.mark.parametrize("horizon", [0, -5])
+    def test_horizon_must_be_positive(self, golden, w, horizon):
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            golden.return_words_scan(w, horizon=horizon)

@@ -98,6 +98,8 @@ def language_oracle(iet: Iet, n: int) -> set[str]:
 
 
 def scan_oracle(iet: Iet, w: str, horizon: int) -> frozenset[str]:
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
     x = cylinder_oracle(iet, w).midpoint()
     k, expected = len(w), iet.d
     found: set[str] = set()

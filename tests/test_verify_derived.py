@@ -93,3 +93,13 @@ def test_verify_scans_the_letters_and_the_fresh_words(monkeypatch, capsys):
     # The 3 letters and 9 words bva with v bispecial, of 120 words.
     assert len(scanned) == 12
     assert scanned == ["a", "b", "c", "bb", "cb", "cc", "acb", "cba", "ccbb", "bbacc", "acbbacb", "cbaccba"]
+
+
+def test_verify_passes_the_scan_the_word_alone():
+    """The scan computes its own cylinder: nothing of the induction reaches it."""
+    golden = parse_iet_file(str(DATA / "golden.iet"))
+    with mock.patch.object(Iet, "return_words_scan", autospec=True, side_effect=Iet.return_words_scan) as scan:
+        verify_return_words(golden, 10)
+    assert scan.call_count == 12
+    for call in scan.call_args_list:
+        assert call.kwargs == {} and len(call.args) == 2 and call.args[0] is golden, call

@@ -2,11 +2,10 @@
 
 A step builds its post-step alphabet and its morphism without re-checking
 them, a state builds its permutation only when read, the step check tests
-containment on lattice pairs, the scan takes the cylinder that the walk
-already ends on, and a return word takes the clustering check of a conjugate
-already checked.  Each shortcut is compared here with the checked or
-recomputed value, on every word up to length 8 of two instances, and
-call-count guards check that `verify` still verifies every piece of every
+containment on lattice pairs, and a return word takes the clustering check
+of a conjugate already checked.  Each shortcut is compared here with the
+checked or recomputed value, on every word up to length 8 of two instances,
+and call-count guards check that `verify` still verifies every piece of every
 step it builds, and transforms one word of each conjugacy class.
 """
 
@@ -19,7 +18,7 @@ import pytest
 
 import ietkit.rauzy
 import ietkit.verify
-from ietkit import Iet, IncompleteScanError, OrderedAlphabet, Permutation, QuadNum
+from ietkit import Iet, OrderedAlphabet, Permutation, QuadNum
 from ietkit.bwt import clustering_report
 from ietkit.cli import main, parse_iet_file
 from ietkit.morphisms import Morphism, substitution
@@ -46,32 +45,6 @@ def traces(instance):
     for w in words:
         out[w] = induce_to_cylinder(instance, w, start=out.get(w[:-1]))
     return out
-
-
-def scan_outcome(iet, w, **kwargs):
-    try:
-        return iet.return_words_scan(w, **kwargs)
-    except IncompleteScanError as exc:
-        return str(exc), exc.words
-
-
-@pytest.mark.parametrize("horizon", [None, 17, 53])
-def test_scan_on_a_given_cylinder_equals_the_scan_without_it(instance, traces, horizon):
-    incomplete = 0
-    for w, trace in traces.items():
-        expected = scan_outcome(instance, w, horizon=horizon)
-        assert trace.final.domain == instance.cylinder(w), w
-        for cylinder in (instance.cylinder(w), trace.final.domain):
-            assert scan_outcome(instance, w, horizon=horizon, cylinder=cylinder) == expected, w
-        incomplete += isinstance(expected, tuple)
-    if horizon:
-        # A short horizon ends scans before every return word is found.
-        assert incomplete
-
-
-def test_scan_of_the_empty_word_ignores_the_cylinder(instance):
-    letters = frozenset(instance.alphabet.letters)
-    assert instance.return_words_scan("", cylinder=instance.domain) == letters
 
 
 def test_each_step_morphism_is_the_checked_substitution(traces):
@@ -167,7 +140,7 @@ def test_start_check_on_pairs_keeps_its_refusals(instance, traces):
         induce_to_cylinder(instance, max(traces, key=len), start=foreign)
 
 
-def test_verify_computes_each_cylinder_once_and_checks_every_piece(monkeypatch, capsys):
+def test_verify_computes_each_cylinder_once_per_method_and_checks_every_piece(monkeypatch, capsys):
     counts = {"cylinder": 0, "first_return": 0, "pieces": 0, "steps": 0}
     inside: list[str] = []
     unchecked: list[str] = []
@@ -212,7 +185,9 @@ def test_verify_computes_each_cylinder_once_and_checks_every_piece(monkeypatch, 
     assert main(["verify", str(DATA / "golden.iet"), "--max-len", "10", "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["words_checked"] == 120 and not report["failures"]
-    assert counts["cylinder"] == 120
+    # One per word for the walk, and one per scanned word for the scan: the
+    # 3 letters and the 9 fresh words.
+    assert counts["cylinder"] == 120 + 12
     assert counts["steps"] > 0
     assert counts["first_return"] == counts["pieces"] == 3 * counts["steps"]
     assert unchecked == []
@@ -272,9 +247,9 @@ def test_a_check_is_shared_by_rotations_only(monkeypatch):
         return returns[c]
 
     theta.source = tuple(returns)
-    made = SimpleNamespace(theta=theta, final=SimpleNamespace(domain=None))
+    made = SimpleNamespace(theta=theta)
     monkeypatch.setattr(ietkit.verify, "induce_to_cylinder", lambda *args, **kwargs: made)
-    monkeypatch.setattr(Iet, "return_words_scan", lambda self, w, cylinder=None: frozenset(returns.values()))
+    monkeypatch.setattr(Iet, "return_words_scan", lambda self, w: frozenset(returns.values()))
     transformed = []
     real = bwt_module.bwt
     monkeypatch.setattr(bwt_module, "bwt", lambda w, alphabet: transformed.append(w) or real(w, alphabet))
