@@ -4,14 +4,16 @@ Every endpoint, length, and translation in this library is a
 :class:`QuadNum`, the value ``(p + q*sqrt(d)) / r`` with arbitrary-precision
 integers.  The representation is canonical (``r > 0``, ``gcd(p, q, r) == 1``,
 and ``q == 0`` whenever ``d <= 1``), so equality of values is equality of
-representations.  Every order decision, each comparison and
-:meth:`QuadNum.sign`, is one integer test, :func:`_lt`, of whether
-``a + b sqrt(d) < 0`` (``a^2`` against ``b^2 d`` when the parts differ in
-sign); a comparison applies it to the cross-multiplied coordinates
-``(p1 r2 - p2 r1) + (q1 r2 - q2 r1) sqrt(d)`` and builds no difference
-object; a difference is those coordinates over ``r1 r2``.  Sums and
-differences are canonicalized once.  Floating point is never consulted except by
-:meth:`QuadNum.__float__`, which exists for display and sanity checks only.
+representations.  Every order decision, ``<`` and :meth:`QuadNum.sign`,
+is one integer test, :func:`_lt`, of whether ``a + b sqrt(d) < 0``
+(``a^2`` against ``b^2 d`` when the parts differ in sign); ``<`` applies it
+to the cross-multiplied coordinates ``(p1 r2 - p2 r1) + (q1 r2 - q2 r1)
+sqrt(d)`` and builds no difference object; a difference is those
+coordinates over ``r1 r2``.  ``==`` compares the canonical coordinates, and
+:func:`functools.total_ordering` derives ``<=``, ``>`` and ``>=`` from those
+two.  Sums and differences are canonicalized once.  Floating point is never
+consulted except by :meth:`QuadNum.__float__`, which exists for display and
+sanity checks only.
 
 A single radicand ``d`` is shared by all numbers of one instance.  Purely
 rational values are normalized to ``d == 0`` and mix freely with any
@@ -25,6 +27,7 @@ integer is multiplication by ``QuadNum(1, 0, n)``.
 
 from __future__ import annotations
 
+from functools import total_ordering
 from math import gcd, isqrt
 
 
@@ -43,6 +46,7 @@ def _mismatch(d1: int, d2: int) -> ValueError:
 _set = object.__setattr__
 
 
+@total_ordering
 class QuadNum:
     """(p + q*sqrt(d)) / r, canonicalized on construction."""
 
@@ -145,18 +149,6 @@ class QuadNum:
     def __lt__(self, other):
         c = self._diff(other)
         return c if c is NotImplemented else _lt(c[0], c[1], c[3])
-
-    def __le__(self, other):
-        c = self._diff(other)
-        return c if c is NotImplemented else not _lt(-c[0], -c[1], c[3])
-
-    def __gt__(self, other):
-        c = self._diff(other)
-        return c if c is NotImplemented else _lt(-c[0], -c[1], c[3])
-
-    def __ge__(self, other):
-        c = self._diff(other)
-        return c if c is NotImplemented else not _lt(c[0], c[1], c[3])
 
     def __eq__(self, other):
         if isinstance(other, QuadNum):

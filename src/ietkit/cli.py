@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import os
 import sys
@@ -142,14 +143,14 @@ def _parse_source(text: str, alphabet_text: str | None, max_len: int):
             entries = [body] if kind == "periodic" else [w for w in body.split(",") if w]
             if not entries:
                 raise ValueError("empty multiset source")
-            alphabet = OrderedAlphabet(alphabet_text or sorted(set("".join(entries))))
+            alphabet = OrderedAlphabet(sorted(set("".join(entries))) if alphabet_text is None else alphabet_text)
             if kind == "periodic":
                 return sample_from_periodic(body, alphabet, max_len), entries, None
             return sample_from_multiset(entries, alphabet, max_len), entries, None
     except SampleTooLargeError as exc:
         raise ValueError(f"--depth is too large for this source: {exc}") from None
     if kind == "iet":
-        if alphabet_text:
+        if alphabet_text is not None:
             raise ValueError(
                 "--alphabet applies to word sources only: an iet: source takes its alphabet from its instance file"
             )
@@ -220,7 +221,7 @@ def _cmd_morphism_apply(args) -> int:
         if letter in images:
             raise ValueError(f"letter {letter!r} is given twice in --spec")
         images[letter] = image
-    source = OrderedAlphabet(args.alphabet) if args.alphabet else OrderedAlphabet(images.keys())
+    source = OrderedAlphabet(images.keys() if args.alphabet is None else args.alphabet)
     target_letters = sorted(set("".join(images.values())) | set(source.letters))
     target = source if set(target_letters) == set(source.letters) else OrderedAlphabet(target_letters)
     morphism = Morphism(source, target, images)
@@ -239,8 +240,7 @@ def _cmd_diet(args) -> int:
         raise ValueError(f"--composition must be comma-separated integers, got {args.composition!r}") from None
     if not parts:
         raise ValueError(f"--composition must have at least one part, got {args.composition!r}")
-    letters = args.alphabet or "abcdefghijklmnopqrstuvwxyz"[: len(parts)]
-    alphabet = OrderedAlphabet(letters)
+    alphabet = OrderedAlphabet("abcdefghijklmnopqrstuvwxyz"[: len(parts)] if args.alphabet is None else args.alphabet)
     pi = Permutation.parse(args.pi, alphabet)
     diet = Diet(parts, pi)
     # The action and the orbits take n steps, and the cylinder walk one per letter.
@@ -287,6 +287,7 @@ def _cmd_iet_check(args) -> int:
 
 
 def _cmd_iet_traj(args) -> int:
+    _require_nonnegative("--steps", args.steps)
     _require_steps(f"--steps {args.steps}", args.steps)
     iet = parse_iet_file(args.file)
     point = QuadNum.parse(args.point, iet.radicand)
@@ -326,9 +327,10 @@ def _cmd_iet_rauzy(args) -> int:
         steps = zip(trace.steps, trace.states[1:])
     else:
         steps = _explicit_steps(iet, args.steps)
+    first = list(itertools.islice(steps, 1))  # a first step that fails prints nothing
     print("start:")
     _print_iet(iet, indent="  ")
-    for i, (record, state) in enumerate(steps, start=1):
+    for i, (record, state) in enumerate(itertools.chain(first, steps), start=1):
         print(_describe_step(i, record, step_morphism(record)))
         _print_iet(state, indent="  ")
     return 0

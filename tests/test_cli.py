@@ -175,6 +175,23 @@ class TestIetCommands:
         assert code == 2
         assert "equal length" in err
 
+    @pytest.mark.parametrize(
+        "instance, message",
+        [
+            ("alphabet = a\npi = a\nlen.a = (1)\n", "induction needs at least two intervals"),
+            ("alphabet = abc\npi = bac\nlen.a = (1)\nlen.b = (2)\nlen.c = (4)\n",
+             "induction needs an irreducible permutation"),
+            ("alphabet = ab\npi = ba\nlen.a = (1)\nlen.b = (1)\n",
+             "right step undefined: pieces 'b' and 'a' have equal length (1)"),
+        ],
+        ids=["one_letter", "reducible", "tied"],
+    )
+    def test_a_first_step_that_cannot_be_taken_prints_nothing(self, capsys, tmp_path, instance, message):
+        path = tmp_path / "instance.iet"
+        path.write_text(instance)
+        code, out, err = run(capsys, "iet", "rauzy", str(path), "--steps", "rl")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_a_step_failing_midway_leaves_the_earlier_steps_printed(self, capsys, tmp_path):
         path = tmp_path / "tied_later.iet"
         path.write_text("alphabet = abc\npi = bca\nlen.a = (3)\nlen.b = (1)\nlen.c = (3)\n")

@@ -85,6 +85,7 @@ def test_iet_check_prints_nothing_before_refusing_its_depth(capsys, golden_file)
     (["verify", "--max-len", "-1"], "--max-len must be nonnegative, got -1"),
     (["verify", "--max-len", "-1", "--keane-depth", "-5"], "--keane-depth must be nonnegative, got -5"),
     (["iet", "language", "--max-len", "-1"], "--max-len must be nonnegative, got -1"),
+    (["iet", "traj", "--point", "(0)", "--steps", "-1"], "--steps must be nonnegative, got -1"),
 ])
 def test_a_negative_count_is_refused_by_its_flag_before_the_file_is_read(monkeypatch, capsys, golden_file, argv, message):
     read = []
@@ -121,6 +122,15 @@ def test_diet_names_a_bad_composition(capsys, composition):
         (["classify", "--source", "multiset:,", "--depth", "1"], "empty multiset source"),
         (["extgraph", "--source", "periodic:ab", "--word", "a", "--orders", "A"], "bad orders 'A', expected e.g. pi:A"),
         (["morphism", "apply", "--spec", "a:ab,bc", "a"], "bad image 'bc', expected letter:word"),
+        (["classify", "--source", "periodic:aabab", "--depth", "2", "--alphabet", ""],
+         "alphabet must contain at least one letter"),
+        (["extgraph", "--source", "periodic:aab", "--word", "a", "--alphabet", ""],
+         "alphabet must contain at least one letter"),
+        (["diet", "--composition", "2,1", "--pi", "ba", "--alphabet", ""], "alphabet must contain at least one letter"),
+        (["morphism", "apply", "--spec", "a:ab,b:b", "--alphabet", "", "ab"], "alphabet must contain at least one letter"),
+        (["classify", "--source", f"iet:{pathlib.Path(__file__).parent / 'data' / 'golden.iet'}", "--depth", "2",
+          "--alphabet", ""],
+         "--alphabet applies to word sources only: an iet: source takes its alphabet from its instance file"),
     ],
 )
 def test_refused_input_prints_only_its_error_line(capsys, golden_file, argv, message):

@@ -6,8 +6,12 @@ computed separately by ``Iet``, ``order_from_permutation`` and
 ``restricted_permutation``.  Each oracle below is that earlier code, and
 the current single rule must agree with it on random inputs.  The Lyndon
 test used to run Duval's scan beside the least-conjugate race of
-``lyndon_representative``, and is now the definition over that race.
+``lyndon_representative``, and is now the definition over that race.  The
+package's ``__all__`` used to be spelled out beside its imports, and is now
+read off them.
 """
+
+import inspect
 
 import pytest
 
@@ -254,3 +258,19 @@ def test_induction_tests_irreducibility_on_the_instance(monkeypatch, golden):
     verify_return_words(golden, 6)
     assert seen
     assert all(iet is golden for iet in seen)
+
+
+def test_all_is_the_sorted_public_classes_and_functions_of_the_package():
+    namespace = {}
+    exec("from ietkit import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == ietkit.__all__ == sorted(set(ietkit.__all__))
+    for name in ietkit.__all__:
+        value = getattr(ietkit, name)
+        assert inspect.isclass(value) or inspect.isfunction(value), name
+        assert value.__module__.startswith("ietkit."), name
+    public = {
+        name for name, value in vars(ietkit).items()
+        if not name.startswith("_") and (inspect.isclass(value) or inspect.isfunction(value))
+    }
+    assert public <= set(ietkit.__all__)
