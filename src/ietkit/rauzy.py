@@ -24,9 +24,13 @@ origin and the lengths, so every state keeps the lattice of the instance
 The updated transformation is re-derived from first principles after every
 step: the first-return time and landing point of each new piece are checked
 exactly against the original dynamics, so a wrong update cannot survive.
-Both sides of the check are read off the new lattice: a piece's orbit
-starts at its left end (pieces are left-closed) and must land at that end
-plus the piece's translation, by :meth:`Iet.first_return`.
+A step changes one piece, the moved letter's; every other piece is its old
+piece or that piece cut short.  A piece that lies in the old piece of its
+letter, has that piece's translation and has its image in the new domain is
+certified whole, since each of its points returns in one step.  The moved
+piece is followed from its left end (pieces are left-closed) by
+:meth:`Iet.first_return` and must land at that end plus its translation.
+Both tests read the lattice pairs of the two maps.
 
 Each step contributes one of the paper's substitutions (see
 :mod:`ietkit.morphisms`): ``alpha(partner, pivot)``, partner -> partner
@@ -114,15 +118,27 @@ def _verify_induced(base: Iet, induced: Iet) -> None:
     """Check the induced map against exact first returns of the base map.
 
     The induced domain must lie in the base domain, its ends' pairs compared
-    across two lattices of one radicand that need not share ``R``.  Every
-    piece must come back to it in one or two steps of the base map, landing
-    where the induced translation says, both read off the induced lattice.
+    across two lattices of one radicand that need not share ``R``.  When the
+    maps share ``(R, d)``, a piece inside its letter's base piece, with that
+    piece's translation and its image in the induced domain, returns whole in
+    one step.  Every other piece must come back from its left end in one or
+    two steps of the base map, landing where the induced translation says,
+    both read off the induced lattice.
     """
-    (base_R, base_d, outer, _), (R, d, bounds, rows) = base._grid, induced._grid
+    (base_R, base_d, outer, base_rows), (R, d, bounds, rows) = base._grid, induced._grid
     if not _contains(outer, base_R, bounds, R, d or base_d):
         raise AssertionError("induced domain escapes the base domain")
     sub = induced.domain
-    for (P, Q), (c, _, _, tp, tq) in zip(bounds, rows):
+    rank = base.alphabet._rank if (base_R, base_d) == (R, d) else {}
+    for (P, Q), (c, rp, rq, tp, tq) in zip(bounds, rows):
+        i = rank.get(c)
+        if (
+            i is not None
+            and base_rows[i][3:] == (tp, tq)
+            and _contains(outer[i : i + 2], R, ((P, Q), (rp, rq)), R, d)
+            and _contains(bounds, R, ((P + tp, Q + tq), (rp + tp, rq + tq)), R, d)
+        ):
+            continue
         landing, steps = base.first_return(sub, QuadNum(P, Q, R, d), cap=4)
         # It must be (P + tp + (Q + tq) sqrt(d))/R; first_return refuses two radicands.
         if steps > 2 or landing.p * R != (P + tp) * landing.r or landing.q * R != (Q + tq) * landing.r:

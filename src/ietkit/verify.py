@@ -21,7 +21,6 @@ from json.encoder import encode_basestring_ascii
 from .bwt import clustering_report
 from .iet import DEFAULT_KEANE_DEPTH, Iet, IncompleteScanError
 from .rauzy import InductionCapError, InductionTrace, induce_to_cylinder
-from .words import OrderedAlphabet, Permutation
 
 
 class KeaneCheckFailed(RuntimeError):
@@ -66,15 +65,6 @@ class VerificationReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-
-def restricted_permutation(
-    pi: Permutation, alphabet: OrderedAlphabet, support: OrderedAlphabet
-) -> Permutation:
-    """The pattern of ``pi`` on a sub-alphabet: its image order restricted
-    to the support letters, read as a permutation of the support."""
-    image = "".join(c for c in pi.one_line_letters(alphabet) if c in support)
-    return Permutation.from_one_line_letters(image, support)
 
 
 def _instance_description(iet: Iet) -> str:

@@ -19,10 +19,16 @@ from ietkit import (
     orbit_words,
     parikh,
 )
-from ietkit.verify import restricted_permutation
 
 AB = OrderedAlphabet("ab")
 ABC = OrderedAlphabet("abc")
+
+
+def restricted_permutation(pi: Permutation, alphabet: OrderedAlphabet, support: OrderedAlphabet) -> Permutation:
+    """The pattern of ``pi`` on a sub-alphabet: its image order restricted
+    to the support letters, read as a permutation of the support."""
+    image = "".join(c for c in pi.one_line_letters(alphabet) if c in support)
+    return Permutation.from_one_line_letters(image, support)
 
 
 class TestConstruction:

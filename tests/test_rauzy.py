@@ -2,6 +2,7 @@ import itertools
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ietkit import (
     Interval,
@@ -18,7 +19,8 @@ from ietkit import (
     step_morphism,
 )
 from ietkit.instance import parse_iet_file
-from ietkit.rauzy import InductionCapError, LEFT, RIGHT, TOP_LONGER, TOP_SHORTER, _step, _verify_induced
+from ietkit.rauzy import InductionCapError, LEFT, RIGHT, TOP_LONGER, TOP_SHORTER, _contains, _step, _verify_induced
+from test_iet_lattice import instances
 
 
 def q(p, q_=0, r=1):
@@ -259,6 +261,129 @@ def test_step_check_rejects_every_wrong_map(kind):
     for iet in wrong:
         with pytest.raises(AssertionError, match="disagrees with first return"):
             _verify_induced(base, iet)
+
+
+# -- the whole-piece certificate against the check it shortens -------------------
+
+
+def oracle_check(base, induced):
+    """The step check before kept pieces were certified whole: every piece's
+    left end is followed by ``first_return``, and must land at that end plus
+    its translation within two base steps."""
+    (base_R, base_d, outer, _), (R, d, bounds, rows) = base._grid, induced._grid
+    if not _contains(outer, base_R, bounds, R, d or base_d):
+        raise AssertionError("induced domain escapes the base domain")
+    sub = induced.domain
+    for (P, Q), (c, _, _, tp, tq) in zip(bounds, rows):
+        landing, steps = base.first_return(sub, QuadNum(P, Q, R, d), cap=4)
+        if steps > 2 or landing.p * R != (P + tp) * landing.r or landing.q * R != (Q + tq) * landing.r:
+            raise AssertionError(f"induced map disagrees with first return on piece {c!r}")
+
+
+def outcome(check, base, induced):
+    """``(error, followed)``: the type and message of what ``check`` raised, or
+    None when it accepts, and the points it handed to ``Iet.first_return``."""
+    followed, real = [], Iet.first_return
+
+    def recorded(self, sub, z, cap=10_000):
+        followed.append(z)
+        return real(self, sub, z, cap)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Iet, "first_return", recorded)
+        try:
+            check(base, induced)
+        except Exception as error:
+            return (type(error), str(error)), followed
+    return None, followed
+
+
+def assert_step_checked_like_the_oracle(base, induced, record):
+    """The step is accepted after one first return, on the moved letter's
+    left end, and both checks give the same verdict on each of its wrong maps."""
+    moved = record.partner_letter if record.case == TOP_LONGER else record.pivot_letter
+    assert outcome(oracle_check, base, induced) == (None, [induced.interval(c).left for c in induced.alphabet])
+    assert outcome(_verify_induced, base, induced) == (None, [induced.interval(moved).left])
+    for wrong in wrong_maps(induced):
+        assert outcome(_verify_induced, base, wrong)[0] == outcome(oracle_check, base, wrong)[0]
+
+
+@pytest.mark.parametrize("name", ["golden.iet", "sqrt2_4.iet", "sqrt2_even.iet"])
+def test_every_walk_step_is_checked_like_the_oracle(name):
+    iet = parse_iet_file(str(pathlib.Path(__file__).parent / "data" / name))
+    words = sorted((w for w in iet.language(8) if w), key=lambda w: (len(w), w))
+    traces, checked = {}, 0
+    for w in words:
+        start = traces.get(w[:-1])
+        traces[w] = trace = induce_to_cylinder(iet, w, start=start)
+        for k in range(len(start.steps) if start else 0, len(trace.steps)):
+            assert_step_checked_like_the_oracle(trace.states[k], trace.states[k + 1], trace.steps[k])
+            checked += 1
+    assert checked > 50
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_drawn_steps_are_checked_like_the_oracle(data):
+    iet = data.draw(instances)
+    if not iet.permutation.is_irreducible:
+        return
+    for kind in data.draw(st.lists(st.sampled_from([RIGHT, LEFT]), max_size=8)):
+        try:
+            induced, record = _step(iet, kind)
+        except ZeroConnectionError:
+            return
+        assert_step_checked_like_the_oracle(iet, induced, record)
+        iet = induced
+
+
+SQRT2_4 = parse_iet_file(str(pathlib.Path(__file__).parent / "data" / "sqrt2_4.iet"))
+
+
+def test_a_domain_cut_a_sliver_past_the_cut_is_refused():
+    """The base map on its domain cut 1/R past the right step's cut (d is
+    longer than a, the last image letter), with no letter moved: a grid no
+    placement makes.  Every piece lies in its base piece with its base
+    translation, but a's image lies outside the new domain, so only the image
+    test sends a to first_return, which comes back in two steps elsewhere."""
+    R, d, bounds, rows = SQRT2_4._grid
+    (ap, aq), (zp, zq) = SQRT2_4._lens["a"], bounds[-1]
+    end = (zp - ap - 1, zq - aq)
+    cut = Iet.__new__(Iet)
+    cut._grid = (R, d, (*bounds[:-1], end), (*rows[:-1], (rows[-1][0], *end, *rows[-1][3:])))
+    refused = (AssertionError, "induced map disagrees with first return on piece 'a'")
+    assert outcome(_verify_induced, SQRT2_4, cut)[0] == outcome(oracle_check, SQRT2_4, cut)[0] == refused
+
+
+def test_a_piece_past_its_base_piece_is_refused():
+    """On [0, 5) the base has pieces a, b, c, d of lengths 1, 2, 1, 1 and
+    image order b, d, c, a.  The wrong map puts b's piece at [3, 5), past b's
+    base piece [1, 3), with b's translation -1 and its image [2, 4) in the
+    domain.  a is certified whole and the left ends of d and c return where
+    the map says, so only the right-end test sends b to first_return, which
+    lands at 3, not 2."""
+    base = Iet(OrderedAlphabet("abcd"), Permutation.from_one_line_letters("bdca", OrderedAlphabet("abcd")),
+               {"a": 1, "b": 2, "c": 1, "d": 1})
+    order = OrderedAlphabet("adcb")
+    wrong = Iet(order, Permutation.from_one_line_letters("dcba", order), {"a": 1, "d": 1, "c": 1, "b": 2})
+    assert (wrong.interval("b"), wrong.translation("b")) == (Interval(QuadNum(3), QuadNum(5)), base.translation("b"))
+    refused = (AssertionError, "induced map disagrees with first return on piece 'b'")
+    error, followed = outcome(_verify_induced, base, wrong)
+    assert (error, followed) == (refused, [QuadNum(1), QuadNum(2), QuadNum(3)])
+    assert outcome(oracle_check, base, wrong)[0] == refused
+
+
+def test_the_same_pairs_over_another_radicand_are_followed_and_refused():
+    """The base map read over sqrt(3): the same lattice pairs and the same R,
+    so each piece would pass the whole-piece test on the pairs.  Only the
+    radicand guard sends it to first_return, which refuses two radicands."""
+    over3 = Iet(SQRT2_4.alphabet, SQRT2_4.permutation,
+                {c: QuadNum(v.p, v.q, v.r, 3) for c, v in SQRT2_4.lengths.items()})
+    assert over3._grid[0] == SQRT2_4._grid[0] and over3._grid[2:] == SQRT2_4._grid[2:]
+    _verify_induced(SQRT2_4, SQRT2_4)
+    error = outcome(_verify_induced, SQRT2_4, over3)[0]
+    assert error[0] is ValueError and "mismatched radicands" in error[1]
+    assert outcome(oracle_check, SQRT2_4, over3)[0] == error
 
 
 # The reducible exchange abc with image order b, a, c and lengths 1, 2, 4.  A

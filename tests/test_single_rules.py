@@ -3,7 +3,8 @@
 The Rauzy step used to update its state in four branches, one per kind and
 case, and built its morphism by hand; the image order of a permutation was
 computed separately by ``Iet``, ``order_from_permutation`` and
-``restricted_permutation``.  Each oracle below is that earlier code, and
+``restricted_permutation`` (gone from the package; its pattern is read off
+the image order below).  Each oracle below is that earlier code, and
 the current single rule must agree with it on random inputs.  The Lyndon
 test used to run Duval's scan beside the least-conjugate race of
 ``lyndon_representative``, and is now the definition over that race.  The
@@ -33,7 +34,7 @@ from ietkit.rauzy import (  # noqa: E402
     _step,
     step_morphism,
 )
-from ietkit.verify import restricted_permutation, verify_return_words  # noqa: E402
+from ietkit.verify import verify_return_words  # noqa: E402
 
 LETTERS = "abcdefg"
 
@@ -186,7 +187,8 @@ def test_image_order_matches_the_earlier_formulas(data):
     assert order_from_permutation(pi, alphabet) == oracle_order_from_permutation(pi, alphabet)
     kept = data.draw(st.lists(st.sampled_from(alphabet.letters), min_size=1, max_size=d, unique=True))
     support = OrderedAlphabet(kept)
-    assert restricted_permutation(pi, alphabet, support) == oracle_restricted_permutation(pi, alphabet, support)
+    restricted = "".join(c for c in iet.image_order_letters() if c in support)
+    assert Permutation.from_one_line_letters(restricted, support) == oracle_restricted_permutation(pi, alphabet, support)
 
 
 @settings(max_examples=100, deadline=None)

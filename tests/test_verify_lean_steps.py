@@ -141,7 +141,9 @@ def test_start_check_on_pairs_keeps_its_refusals(instance, traces):
 
 
 def test_verify_computes_each_cylinder_once_per_method_and_checks_every_piece(monkeypatch, capsys):
-    counts = {"cylinder": 0, "first_return": 0, "pieces": 0, "steps": 0}
+    counts = {"cylinder": 0, "pieces": 0, "steps": 0}
+    landings: list[tuple[QuadNum, int]] = []
+    moved: list[tuple[QuadNum, int]] = []
     inside: list[str] = []
     unchecked: list[str] = []
 
@@ -168,14 +170,17 @@ def test_verify_computes_each_cylinder_once_per_method_and_checks_every_piece(mo
         counts[key] += by
 
     def built(result):
+        induced, record = result
         bump("steps")
-        bump("pieces", len(result[0].alphabet))
+        bump("pieces", len(induced.alphabet))
+        c = record.partner_letter if record.case == TOP_LONGER else record.pivot_letter
+        moved.append((induced.interval(c).left + induced.translation(c), 2))
 
     def checked_constructor(name):
         return lambda: unchecked.append(f"{name} in {inside[-1]}") if inside else None
 
     wrap(Iet, "cylinder", before=lambda: bump("cylinder"))
-    wrap(Iet, "first_return", before=lambda: bump("first_return"))
+    wrap(Iet, "first_return", after=landings.append)
     wrap(ietkit.rauzy, "_step", after=built, scope="_step")
     wrap(ietkit.rauzy, "step_morphism", scope="step_morphism")
     wrap(Morphism, "__post_init__", before=checked_constructor("Morphism.__post_init__"))
@@ -189,7 +194,10 @@ def test_verify_computes_each_cylinder_once_per_method_and_checks_every_piece(mo
     # 3 letters and the 9 fresh words.
     assert counts["cylinder"] == 120 + 12
     assert counts["steps"] > 0
-    assert counts["first_return"] == counts["pieces"] == 3 * counts["steps"]
+    assert counts["pieces"] == 3 * counts["steps"]
+    # The pieces a step keeps are certified whole; one first return per step
+    # follows the moved letter's piece, which comes back in two base steps.
+    assert landings == moved
     assert unchecked == []
 
 
