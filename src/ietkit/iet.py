@@ -578,12 +578,27 @@ class Iet:
         is not in the language.
         """
         self._alphabet.require(w)
-        R, d, bounds, rows = self._grid
+        state = self._cylinder_rule(w)
+        if state is None:
+            return EMPTY
+        R, d, _, _ = self._grid
+        lp, lq, hp, hq, sp, sq = state
+        return Interval(QuadNum(lp - sp, lq - sq, R, d), QuadNum(hp - sp, hq - sq, R, d))
+
+    def _cylinder_rule(self, w: str, state: tuple[int, ...] | None = None) -> tuple[int, ...] | None:
+        """``state`` advanced by the letters of ``w``, or None once the cylinder is empty.
+
+        The state of a k-letter word u is ``(lo, hi, shift)``, three lattice
+        pairs laid out flat as six integers: ``[lo, hi)`` is ``T^k`` of the
+        cylinder of u and ``shift`` the translation ``T^k`` applies there, so
+        the cylinder is ``[lo - shift, hi - shift)``.  Since ``cyl(uc) =
+        cyl(u) ∩ (I_c - shift)``, a letter cuts ``[lo, hi)`` to the piece of c
+        and moves it by that piece's translation.  No ``state`` starts from
+        the domain, the empty word's.
+        """
+        _, d, bounds, rows = self._grid
         rank = self._alphabet.rank
-        # [lo, hi) is T^k of the cylinder of the first k letters, and shift
-        # the translation T^k applies on it.
-        (lp, lq), (hp, hq) = bounds[0], bounds[-1]
-        sp = sq = 0
+        lp, lq, hp, hq, sp, sq = state or (*bounds[0], *bounds[-1], 0, 0)
         for c in w:
             i = rank(c)
             (ap, aq), (bp, bq) = bounds[i], bounds[i + 1]
@@ -593,9 +608,9 @@ class Iet:
             if _lt(bp - hp, bq - hq, d):
                 hp, hq = bp, bq
             if not _lt(lp - hp, lq - hq, d):
-                return EMPTY
+                return None
             lp, lq, hp, hq, sp, sq = lp + tp, lq + tq, hp + tp, hq + tq, sp + tp, sq + tq
-        return Interval(QuadNum(lp - sp, lq - sq, R, d), QuadNum(hp - sp, hq - sq, R, d))
+        return lp, lq, hp, hq, sp, sq
 
     def language(self, n: int) -> Language:
         """All factors of length <= n, by exact cylinder refinement.

@@ -54,7 +54,11 @@ first-return map on ``cyl(w)``, and each further step is verified against
 the state it acts on exactly as before, so the chain of steps from the
 original transformation, and the morphism composed along it, stays
 certified end to end.  Should no step keep the smaller cylinder, the walk
-raises instead of answering.
+raises instead of answering.  The target comes along the same way: a trace
+keeps the translation of ``T^|w|`` on ``cyl(w)`` with the image of the
+cylinder, and ``cyl(wa) = cyl(w) ∩ (I_a - t_w)``, so a resumed walk reads
+one letter to find its cylinder (see :meth:`Iet._cylinder_rule`).  The
+walk still ends only when the final domain is that cylinder.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import QuadNum, _lt
-from .iet import Iet, _at
+from .iet import Iet
 from .morphisms import Morphism, _valid, compose, identity
 from .words import OrderedAlphabet
 
@@ -92,12 +96,18 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class InductionTrace:
-    """A certified step sequence: states[0] is the input, states[-1] == final."""
+    """A certified step sequence: states[0] is the input, states[-1] == final.
+
+    ``final.domain`` is the cylinder of ``word``, and ``cylinder`` is that
+    word's state of :meth:`Iet._cylinder_rule`, on the lattice of ``states[0]``.
+    """
 
     steps: tuple[StepRecord, ...]
     states: tuple[Iet, ...]
     final: Iet
     theta: Morphism
+    word: str
+    cylinder: tuple[int, int, int, int, int, int]
 
 
 def _moved(seq: tuple[str, ...], x: str, y: str, after: bool) -> tuple[str, ...]:
@@ -246,20 +256,35 @@ def induce_to_cylinder(
     from ``iet``: its steps, states and ``theta`` extend those of
     ``start``, ``cap`` bounds the whole step chain, and every new step is
     verified like any other.  The final map has the same pieces as the
-    walk from ``iet``, though its letters may be named differently.
+    walk from ``iet``, though its letters may be named differently.  A walk
+    that takes no new step returns ``start.theta`` itself.
+
+    The cylinder comes from the rule of :meth:`Iet._cylinder_rule`.  A
+    trace keeps its word and that word's state of the rule, so from the
+    trace of a prefix of ``w`` only the rest of ``w`` is read; from any
+    other start, or none, all of ``w`` is read from the domain.  A letter
+    outside the alphabet is refused first, then a word outside the
+    language, then a start of another transformation, whose state is
+    never read.
     """
-    target = iet.cylinder(w)
-    if target.is_empty:
+    iet.alphabet.require(w)
+    if start is None:
+        start = InductionTrace((), (iet,), iet, identity(iet.alphabet), "", iet._cylinder_rule(""))
+    foreign = start.states[0] != iet
+    if not foreign and w.startswith(start.word):
+        cylinder = iet._cylinder_rule(w[len(start.word) :], start.cylinder)
+    else:
+        cylinder = iet._cylinder_rule(w)
+    if cylinder is None:
         raise ValueError(f"{w!r} is not in the language of this transformation")
+    if foreign:
+        raise ValueError("the start trace belongs to another transformation")
     if cap is None:
         cap = 64 * (len(w) + 1)
-    if start is None:
-        start = InductionTrace((), (iet,), iet, identity(iet.alphabet))
-    elif start.states[0] != iet:
-        raise ValueError("the start trace belongs to another transformation")
     # Every state of the walk keeps the lattice of ``iet``, the start's too.
     R, d, bounds, _ = start.final._grid
-    ends = (_at(target.left, R), _at(target.right, R))
+    lp, lq, hp, hq, sp, sq = cylinder
+    ends = ((lp - sp, lq - sq), (hp - sp, hq - sq))
     if not _contains(bounds, R, ends, R, d):
         raise ValueError(f"the start trace's domain does not contain the cylinder of {w!r}")
     steps, states, theta = list(start.steps), list(start.states), start.theta
@@ -282,7 +307,7 @@ def induce_to_cylinder(
         steps.append(record)
         states.append(state)
         theta = compose(theta, step_morphism(record))
-    return InductionTrace(tuple(steps), tuple(states), states[-1], theta)
+    return InductionTrace(tuple(steps), tuple(states), states[-1], theta, w, cylinder)
 
 
 def return_words_induction(iet: Iet, w: str, cap: int | None = None) -> frozenset[str]:

@@ -107,6 +107,13 @@ def verify_return_words(
     failures as under a scan of every word.  Neither the scan nor the
     derivation reads the induction, so the two methods stay independent.
 
+    Induction must also give exactly ``d`` return words, the Return Theorem
+    for regular exchanges; another count is recorded as a failure.  A walk
+    that resumes from its prefix's trace and takes no new step has the
+    prefix's morphism, and takes the prefix's return words, sorted and
+    checked, without reading them again; the agreement of the two methods
+    and every failure are still decided for each word.
+
     The clustering permutation of each return word is also compared against
     the instance permutation restricted to its support; that comparison is
     recorded, never judged.  ``cap`` bounds each word's chain of Rauzy steps
@@ -139,10 +146,15 @@ def verify_return_words(
     # are kept for the previous length only.
     traces: dict[str, InductionTrace] = {}
     complete: dict[str, frozenset[str]] = {}
+    # A walk that takes no new step returns its start's theta itself, so its
+    # word has the images, return words and checks of the word it resumed
+    # from, kept beside that word's trace.
+    done: dict[str, tuple] = {}
     for w in words:
         if len(next(iter(traces), w)) < len(w) - 1:
             traces = {u: t for u, t in traces.items() if len(u) == len(w) - 1}
             complete = {u: s for u, s in complete.items() if len(u) == len(w) - 1}
+            done = {u: r for u, r in done.items() if len(u) == len(w) - 1}
         try:
             start = None if trace else traces.get(w[:-1])
             try:
@@ -158,8 +170,30 @@ def verify_return_words(
             records.append(WordRecord(w, False, (), ()))
             continue
         traces[w] = trace_result
-        images = tuple((c, trace_result.theta(c)) for c in trace_result.theta.source)
-        induced = frozenset(u for _, u in images)
+        theta = trace_result.theta
+        if start is not None and theta is start.theta:
+            images, induced, return_words, checks = done[w[:-1]]
+        else:
+            images = tuple((c, theta(c)) for c in theta.source)
+            induced = frozenset(u for _, u in images)
+            return_words = tuple(sorted(induced, key=key))
+            checks = []
+            for u in return_words:
+                check = checked.get(u)
+                if check is None:
+                    same = classes.setdefault(len(u), {})
+                    check = next((c for vv, c in same.items() if u in vv), None)
+                    if check is None:
+                        report = clustering_report(u, alphabet)
+                        blocks = "".join(report.block_order)
+                        # The block order against the image order of pi restricted to the support.
+                        matches = report.is_clustering and blocks == "".join(
+                            c for c in iet.image_order_letters() if c in report.support)
+                        check = same[u + u] = ReturnWordCheck(u, report.transform, report.is_clustering, blocks, matches)
+                    check = checked[u] = replace(check, word=u)
+                checks.append(check)
+            checks = tuple(checks)
+        done[w] = images, induced, return_words, checks
         if w[:-1] in complete and rights[w[:-1]] == 1:
             second = complete[w] = complete[w[:-1]]
         elif w[1:] in complete and lefts[w[1:]] == 1:
@@ -174,24 +208,12 @@ def verify_return_words(
         if not agreement:
             reason = f"methods disagree: scan {sorted(second)} vs induction {sorted(induced)}"
             failures.append(Failure(w, None, None, reason))
-        return_words = tuple(sorted(induced, key=key))
-        checks = []
-        for u in return_words:
-            check = checked.get(u)
-            if check is None:
-                same = classes.setdefault(len(u), {})
-                check = next((c for vv, c in same.items() if u in vv), None)
-                if check is None:
-                    report = clustering_report(u, alphabet)
-                    blocks = "".join(report.block_order)
-                    # The block order against the image order of pi restricted to the support.
-                    matches = report.is_clustering and blocks == "".join(
-                        c for c in iet.image_order_letters() if c in report.support)
-                    check = same[u + u] = ReturnWordCheck(u, report.transform, report.is_clustering, blocks, matches)
-                check = checked[u] = replace(check, word=u)
+        if len(induced) != len(alphabet):
+            reason = f"induction gave {len(induced)} return words, not {len(alphabet)}"
+            failures.append(Failure(w, None, None, reason))
+        for check in checks:
             if not check.is_clustering:
-                failures.append(Failure(w, u, check.transform, "return word not clustering"))
-            checks.append(check)
+                failures.append(Failure(w, check.word, check.transform, "return word not clustering"))
         records.append(
             WordRecord(
                 word=w,

@@ -190,15 +190,41 @@ def test_verify_computes_each_cylinder_once_per_method_and_checks_every_piece(mo
     assert main(["verify", str(DATA / "golden.iet"), "--max-len", "10", "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["words_checked"] == 120 and not report["failures"]
-    # One per word for the walk, and one per scanned word for the scan: the
-    # 3 letters and the 9 fresh words.
-    assert counts["cylinder"] == 120 + 12
+    # One per scanned word, for the scan: the 3 letters and the 9 fresh words.
+    # A walk reads its cylinder off its prefix's trace.
+    assert counts["cylinder"] == 12
     assert counts["steps"] > 0
     assert counts["pieces"] == 3 * counts["steps"]
     # The pieces a step keeps are certified whole; one first return per step
     # follows the moved letter's piece, which comes back in two base steps.
     assert landings == moved
     assert unchecked == []
+
+
+def test_each_resumed_walk_advances_the_cylinder_rule_by_one_letter(monkeypatch, capsys):
+    calls: list[int] = []
+    inside: list[bool] = []
+    rule, cylinder = Iet._cylinder_rule, Iet.cylinder
+
+    def counted_rule(self, w, state=None):
+        if not inside:
+            calls.append(len(w))
+        return rule(self, w, state)
+
+    def scoped_cylinder(self, w):
+        inside.append(True)
+        try:
+            return cylinder(self, w)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Iet, "_cylinder_rule", counted_rule)
+    monkeypatch.setattr(Iet, "cylinder", scoped_cylinder)
+    assert main(["verify", str(DATA / "golden.iet"), "--max-len", "10", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["words_checked"] == 120
+    # Each walk advances the rule by one letter: the 3 letters from the empty
+    # word's state, and the other 117 words from their prefixes' states.
+    assert calls == [0, 1] * 3 + [1] * 117
 
 
 def least_rotation(u):
