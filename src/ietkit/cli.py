@@ -274,7 +274,7 @@ def _cmd_iet_check(args) -> int:
     _require_nonnegative("--depth", args.depth)
     iet = parse_iet_file(args.file)
     # The connection check follows d - 1 orbits for --depth steps each.
-    _require_steps(f"--depth {args.depth}", (iet.d - 1) * args.depth)
+    _require_steps(f"{args.depth_name} {args.depth}", (iet.d - 1) * args.depth)
     _print_iet(iet)
     verdict = iet.check_keane(args.depth)
     if verdict.is_regular:
@@ -415,7 +415,7 @@ def _cmd_verify(args) -> int:
     _require_nonnegative("--keane-depth", args.keane_depth)
     _require_nonnegative("--max-len", args.max_len)
     iet = parse_iet_file(args.file)
-    _require_steps(f"--keane-depth {args.keane_depth}", (iet.d - 1) * args.keane_depth)
+    _require_steps(f"{args.depth_name} {args.keane_depth}", (iet.d - 1) * args.keane_depth)
     _require_letters(f"--max-len {args.max_len}", iet, args.max_len)
     _require_slots(f"--max-len {args.max_len}", iet, args.max_len)
     try:
@@ -499,7 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c = isub.add_parser("check", help="validate and run the connection check")
     c.add_argument("file")
     c.add_argument("--depth", type=int, default=None)
-    c.set_defaults(func=_cmd_iet_check)
+    c.set_defaults(func=_cmd_iet_check, depth_name="--depth")
 
     c = isub.add_parser("traj", help="orbit coding of a point")
     c.add_argument("file")
@@ -548,7 +548,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None, help="write the report to this path")
     p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, depth_name="--keane-depth")
 
     return parser
 
@@ -564,12 +564,14 @@ def main(argv: list[str] | None = None) -> int:
     args.cap = cap
     # Defaults that depend on the environment or on another argument are
     # filled here, so the parser is built once per process.
+    # A refusal names where the Keane depth came from: its option, or the variable.
+    env_name = None if keane_depth is None else "IETKIT_KEANE_DEPTH"
     if keane_depth is None:
         keane_depth = DEFAULT_KEANE_DEPTH
     if args.command == "verify" and args.keane_depth is None:
-        args.keane_depth = keane_depth
+        args.keane_depth, args.depth_name = keane_depth, env_name or args.depth_name
     elif args.command == "iet" and args.subcommand == "check" and args.depth is None:
-        args.depth = keane_depth
+        args.depth, args.depth_name = keane_depth, env_name or args.depth_name
     elif args.command == "extgraph" and args.depth is None:
         args.depth = len(_word_arg(args.word)) + 2
     try:

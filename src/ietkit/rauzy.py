@@ -30,7 +30,8 @@ letter, has that piece's translation and has its image in the new domain is
 certified whole, since each of its points returns in one step.  The moved
 piece is followed from its left end (pieces are left-closed) by
 :meth:`Iet.first_return` and must land at that end plus its translation.
-Both tests read the lattice pairs of the two maps.
+Both tests read the lattice pairs of the two maps, the certificate as four
+sign tests on pair differences, and build no number view of a state.
 
 Each step contributes one of the paper's substitutions (see
 :mod:`ietkit.morphisms`): ``alpha(partner, pivot)``, partner -> partner
@@ -58,7 +59,9 @@ raises instead of answering.  The target comes along the same way: a trace
 keeps the translation of ``T^|w|`` on ``cyl(w)`` with the image of the
 cylinder, and ``cyl(wa) = cyl(w) ∩ (I_a - t_w)``, so a resumed walk reads
 one letter to find its cylinder (see :meth:`Iet._cylinder_rule`).  The
-walk still ends only when the final domain is that cylinder.
+walk still ends only when the final domain is that cylinder; when the
+start's final domain already is, the trace shares the start's step and
+state chains, final map and morphism, and copies none of them.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import QuadNum, _lt
-from .iet import Iet
+from .iet import Iet, Interval
 from .morphisms import Morphism, _valid, compose, identity
 from .words import OrderedAlphabet
 
@@ -129,26 +132,30 @@ def _verify_induced(base: Iet, induced: Iet) -> None:
 
     The induced domain must lie in the base domain, its ends' pairs compared
     across two lattices of one radicand that need not share ``R``.  When the
-    maps share ``(R, d)``, a piece inside its letter's base piece, with that
-    piece's translation and its image in the induced domain, returns whole in
-    one step.  Every other piece must come back from its left end in one or
-    two steps of the base map, landing where the induced translation says,
-    both read off the induced lattice.
+    maps share ``(R, d)``, a piece with its letter's base translation, its
+    ends in that letter's base piece and its image's ends in the induced
+    domain (four signs of pair differences) returns whole in one step.  Every
+    other piece must come back from its left end in one or two steps of the
+    base map, landing where the induced translation says, both read off the
+    induced lattice.
     """
     (base_R, base_d, outer, base_rows), (R, d, bounds, rows) = base._grid, induced._grid
     if not _contains(outer, base_R, bounds, R, d or base_d):
         raise AssertionError("induced domain escapes the base domain")
-    sub = induced.domain
+    (lp, lq), (hp, hq) = bounds[0], bounds[-1]
+    sub = Interval(QuadNum(lp, lq, R, d), QuadNum(hp, hq, R, d))
     rank = base.alphabet._rank if (base_R, base_d) == (R, d) else {}
     for (P, Q), (c, rp, rq, tp, tq) in zip(bounds, rows):
         i = rank.get(c)
-        if (
-            i is not None
-            and base_rows[i][3:] == (tp, tq)
-            and _contains(outer[i : i + 2], R, ((P, Q), (rp, rq)), R, d)
-            and _contains(bounds, R, ((P + tp, Q + tq), (rp + tp, rq + tq)), R, d)
-        ):
-            continue
+        if i is not None and base_rows[i][3:] == (tp, tq):
+            (ap, aq), (bp, bq) = outer[i], outer[i + 1]
+            if not (
+                _lt(P - ap, Q - aq, d)
+                or _lt(bp - rp, bq - rq, d)
+                or _lt(P + tp - lp, Q + tq - lq, d)
+                or _lt(hp - rp - tp, hq - rq - tq, d)
+            ):
+                continue
         landing, steps = base.first_return(sub, QuadNum(P, Q, R, d), cap=4)
         # It must be (P + tp + (Q + tq) sqrt(d))/R; first_return refuses two radicands.
         if steps > 2 or landing.p * R != (P + tp) * landing.r or landing.q * R != (Q + tq) * landing.r:
@@ -255,9 +262,11 @@ def induce_to_cylinder(
     ``start.final`` instead of from ``iet``.  The returned trace still runs
     from ``iet``: its steps, states and ``theta`` extend those of
     ``start``, ``cap`` bounds the whole step chain, and every new step is
-    verified like any other.  The final map has the same pieces as the
-    walk from ``iet``, though its letters may be named differently.  A walk
-    that takes no new step returns ``start.theta`` itself.
+    verified on the lattice pairs like any other.  The final map has the
+    same pieces as the walk from ``iet``, though its letters may be named
+    differently.  A walk that takes no new step returns a trace over
+    ``start``'s own ``steps``, ``states``, ``final`` and ``theta``, copying
+    none of them.
 
     The cylinder comes from the rule of :meth:`Iet._cylinder_rule`.  A
     trace keeps its word and that word's state of the rule, so from the
@@ -287,6 +296,8 @@ def induce_to_cylinder(
     ends = ((lp - sp, lq - sq), (hp - sp, hq - sq))
     if not _contains(bounds, R, ends, R, d):
         raise ValueError(f"the start trace's domain does not contain the cylinder of {w!r}")
+    if (bounds[0], bounds[-1]) == ends and len(start.steps) <= cap:
+        return InductionTrace(start.steps, start.states, start.final, start.theta, w, cylinder)
     steps, states, theta = list(start.steps), list(start.states), start.theta
     order = (LEFT, RIGHT) if prefer_left else (RIGHT, LEFT)
     # A start chain already longer than ``cap`` fails even when no step is left.

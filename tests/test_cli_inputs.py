@@ -237,6 +237,23 @@ def test_huge_work_is_refused_before_it_starts(monkeypatch, capsys, golden_file,
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [["verify", "{f}", "--max-len", "3"], ["iet", "check", "{f}"]], ids=["verify", "check"])
+def test_a_huge_keane_depth_from_the_environment_is_refused_by_name(monkeypatch, capsys, golden_file, argv):
+    """A budget refusal names the variable a depth came from, not an option
+    that was never given; an explicit option is still named by its flag."""
+    argv = [a.replace("{f}", golden_file) for a in argv]
+    monkeypatch.setenv("IETKIT_KEANE_DEPTH", HUGE)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: IETKIT_KEANE_DEPTH {HUGE} would take {2 * 10**12} orbit steps, more than {MAX_ORBIT_STEPS}\n"
+    )
+    flag = "--keane-depth" if argv[0] == "verify" else "--depth"
+    assert main([*argv, flag, HUGE]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} {HUGE} would take")
+
+
 def test_irrational_length_without_a_radicand_is_refused(tmp_path, capsys):
     """With no ``d =`` line, ``(1, 1, 2)`` would be read as 1/2; it is refused
     with its line number instead."""

@@ -373,6 +373,45 @@ def test_a_piece_past_its_base_piece_is_refused():
     assert outcome(oracle_check, base, wrong)[0] == refused
 
 
+# On [0, 5): pieces a, b, c, d of lengths 1, 2, 1, 1 and image order b, d, c,
+# a, so translations 4, -1, 0 and -2.
+BDCA = Iet(OrderedAlphabet("abcd"), Permutation.from_one_line_letters("bdca", OrderedAlphabet("abcd")),
+           {"a": 1, "b": 2, "c": 1, "d": 1})
+
+
+def on_the_base_lattice(base, cuts, letters):
+    """A hand-set grid on the lattice of the rational ``base``: one piece per
+    letter between consecutive integer ``cuts``, each with its letter's base
+    translation."""
+    R, d, _, rows = base._grid
+    tau = {row[0]: row[3:] for row in rows}
+    bounds = tuple((R * x, 0) for x in cuts)
+    out = Iet.__new__(Iet)
+    out._grid = (R, d, bounds, tuple((c, *right, *tau[c]) for c, right in zip(letters, bounds[1:])))
+    return out
+
+
+def test_a_kept_piece_starting_before_its_base_piece_is_refused():
+    """c's piece [2, 4) ends in its base piece [3, 4), with its translation 0
+    and its image in the domain, but starts in b's base piece.  Only the
+    left-end test sends c to first_return, which lands at 1, not 2."""
+    wrong = on_the_base_lattice(BDCA, (0, 1, 2, 4, 5), "abcd")
+    refused = (AssertionError, "induced map disagrees with first return on piece 'c'")
+    assert outcome(_verify_induced, BDCA, wrong) == (refused, [QuadNum(2)])
+    assert outcome(oracle_check, BDCA, wrong)[0] == refused
+
+
+def test_a_kept_piece_whose_image_starts_before_the_domain_is_refused():
+    """On the domain [1, 5), b's piece is its base piece [1, 3) with its
+    translation -1, but its image [0, 2) starts left of the domain.  Only the
+    image's left-end test sends b to first_return, which comes back at 4 in
+    two steps, not at 0."""
+    wrong = on_the_base_lattice(BDCA, (1, 3, 4, 5), "bcd")
+    refused = (AssertionError, "induced map disagrees with first return on piece 'b'")
+    assert outcome(_verify_induced, BDCA, wrong) == (refused, [QuadNum(1)])
+    assert outcome(oracle_check, BDCA, wrong)[0] == refused
+
+
 def test_the_same_pairs_over_another_radicand_are_followed_and_refused():
     """The base map read over sqrt(3): the same lattice pairs and the same R,
     so each piece would pass the whole-piece test on the pairs.  Only the

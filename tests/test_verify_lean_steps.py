@@ -140,6 +140,27 @@ def test_start_check_on_pairs_keeps_its_refusals(instance, traces):
         induce_to_cylinder(instance, max(traces, key=len), start=foreign)
 
 
+def test_a_walk_that_takes_no_new_step_shares_its_start_and_builds_no_view(instance):
+    """A resumed walk with no new step hands back its start's own chain, and
+    the step check reads only pairs: no state placed by `_step` gets the
+    QuadNum views of its domain."""
+    words = sorted((w for w in instance.language(MAX_LEN) if w), key=lambda w: (len(w), instance.alphabet.key(w)))
+    traces, shared = {}, 0
+    for w in words:
+        start = traces.get(w[:-1])
+        traces[w] = trace = induce_to_cylinder(instance, w, start=start)
+        if start is not None and len(trace.steps) == len(start.steps):
+            assert trace.steps is start.steps and trace.states is start.states, w
+            assert trace.final is start.final and trace.theta is start.theta, w
+            assert (trace.word, trace.cylinder) == (w, instance._cylinder_rule(w)), w
+            shared += 1
+    assert 0 < shared < len(words)
+    states = [state for trace in traces.values() for state in trace.states[1:]]
+    assert states
+    for state in states:
+        assert "domain" not in vars(state) and "_bounds" not in vars(state)
+
+
 def test_verify_computes_each_cylinder_once_per_method_and_checks_every_piece(monkeypatch, capsys):
     counts = {"cylinder": 0, "pieces": 0, "steps": 0}
     landings: list[tuple[QuadNum, int]] = []
