@@ -241,19 +241,21 @@ class Iet:
         are pairs ``(P, Q)`` of ``(P + Q sqrt(d))/R``.  ``_grid`` is ``(R, d,
         bounds, rows)``, with the domain boundaries ``[origin, cut..., end]``
         and one ``(letter, right P, right Q, tau P, tau Q)`` per piece;
-        ``_image_cuts`` are the boundaries of the image partition."""
+        ``_image_cuts`` are the boundaries of the image partition.  One loop
+        over the image order records each letter's image left end, and one
+        over the alphabet appends each bound with its row."""
         self._alphabet, self._image_letters, self._lens = alphabet, image, lengths
-        bounds, image_cuts = [origin], [origin]
-        for seq, cuts in ((alphabet.letters, bounds), (image, image_cuts)):
-            for c in seq:
-                (P, Q), (lp, lq) = cuts[-1], lengths[c]
-                cuts.append((P + lp, Q + lq))
-        image_left = dict(zip(image, image_cuts))
-        rows = tuple(
-            (c, *right, image_left[c][0] - left[0], image_left[c][1] - left[1])
-            for c, left, right in zip(alphabet.letters, bounds, bounds[1:])
-        )
-        self._grid, self._image_cuts, self._table = (R, d, tuple(bounds), rows), image_cuts, None
+        image_cuts, image_left = [origin], {}
+        for c in image:
+            image_left[c] = (P, Q) = image_cuts[-1]
+            lp, lq = lengths[c]
+            image_cuts.append((P + lp, Q + lq))
+        bounds, rows = [origin], []
+        for c in alphabet._letters:
+            (P, Q), (lp, lq), (ip, iq) = bounds[-1], lengths[c], image_left[c]
+            bounds.append((P + lp, Q + lq))
+            rows.append((c, P + lp, Q + lq, ip - P, iq - Q))
+        self._grid, self._image_cuts, self._table = (R, d, tuple(bounds), tuple(rows)), image_cuts, None
 
     # -- structure ----------------------------------------------------------
 

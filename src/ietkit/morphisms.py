@@ -88,7 +88,10 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
         raise ValueError(
             f"cannot compose: inner morphism targets {g.target}, outer expects {f.source}"
         )
-    images = {c: "".join([f.images[x] for x in g.images[c]]) for c in g.source}
+    outer, inner, images = f.images, g.images, {}
+    for c in g.source._letters:
+        u = inner[c]
+        images[c] = outer[u] if len(u) == 1 else "".join([outer[x] for x in u])
     return _valid(g.source, f.target, images)
 
 

@@ -147,7 +147,7 @@ def _verify_induced(base: Iet, induced: Iet) -> None:
     rank = base.alphabet._rank if (base_R, base_d) == (R, d) else {}
     for (P, Q), (c, rp, rq, tp, tq) in zip(bounds, rows):
         i = rank.get(c)
-        if i is not None and base_rows[i][3:] == (tp, tq):
+        if i is not None and base_rows[i][3] == tp and base_rows[i][4] == tq:
             (ap, aq), (bp, bq) = outer[i], outer[i + 1]
             if not (
                 _lt(P - ap, Q - aq, d)
@@ -174,9 +174,8 @@ def _inducible(iet: Iet) -> Iet:
 
 
 def _step(iet: Iet, kind: str) -> tuple[Iet, StepRecord]:
-    alphabet = iet.alphabet
-    letters = alphabet.letters
-    image = iet.image_order_letters()
+    alphabet = iet._alphabet
+    letters, image = alphabet._letters, iet._image_letters
     end = -1 if kind == RIGHT else 0
     # Irreducibility already rules out pivot == partner.
     pivot, partner = letters[end], image[end]
@@ -192,12 +191,11 @@ def _step(iet: Iet, kind: str) -> tuple[Iet, StepRecord]:
     case, longer, (sp, sq) = (TOP_LONGER, pivot, par) if top_longer else (TOP_SHORTER, partner, piv)
     (P, Q), (oP, oQ) = lengths[longer], bounds[0]
     lengths[longer] = P - sp, Q - sq
-    after = kind == RIGHT
-    if case == TOP_LONGER:
+    after, post_alphabet = kind == RIGHT, alphabet
+    if top_longer:
         image = _moved(image, partner, pivot, after)
     else:
-        letters = _moved(letters, pivot, partner, after)
-    post_alphabet = alphabet if case == TOP_LONGER else OrderedAlphabet._reordered(letters)
+        post_alphabet = OrderedAlphabet._reordered(_moved(letters, pivot, partner, after))
     induced = Iet.__new__(Iet)
     induced._place(post_alphabet, image, R, d, (oP, oQ) if after else (oP + sp, oQ + sq), lengths)
     _verify_induced(iet, induced)
@@ -236,8 +234,8 @@ def _keeps(iet: Iet, kind: str, target: tuple[tuple[int, int], tuple[int, int]])
     connection, where no step is defined."""
     _, d, bounds, _ = iet._grid
     i, s, (tp, tq) = (-2, 1, target[1]) if kind == RIGHT else (1, -1, target[0])
-    a, b = bounds[i], iet._image_cuts[i]
-    return a != b and any(not _lt(s * (P - tp), s * (Q - tq), d) for P, Q in (a, b))
+    (ap, aq), (bp, bq) = a, b = bounds[i], iet._image_cuts[i]
+    return a != b and (not _lt(s * (ap - tp), s * (aq - tq), d) or not _lt(s * (bp - tp), s * (bq - tq), d))
 
 
 def induce_to_cylinder(
@@ -293,20 +291,21 @@ def induce_to_cylinder(
     # Every state of the walk keeps the lattice of ``iet``, the start's too.
     R, d, bounds, _ = start.final._grid
     lp, lq, hp, hq, sp, sq = cylinder
-    ends = ((lp - sp, lq - sq), (hp - sp, hq - sq))
+    ends = lo, hi = (lp - sp, lq - sq), (hp - sp, hq - sq)
     if not _contains(bounds, R, ends, R, d):
         raise ValueError(f"the start trace's domain does not contain the cylinder of {w!r}")
-    if (bounds[0], bounds[-1]) == ends and len(start.steps) <= cap:
+    if bounds[0] == lo and bounds[-1] == hi and len(start.steps) <= cap:
         return InductionTrace(start.steps, start.states, start.final, start.theta, w, cylinder)
     steps, states, theta = list(start.steps), list(start.states), start.theta
-    order = (LEFT, RIGHT) if prefer_left else (RIGHT, LEFT)
+    first, second = (LEFT, RIGHT) if prefer_left else (RIGHT, LEFT)
+    state = states[-1]
     # A start chain already longer than ``cap`` fails even when no step is left.
-    while (states[-1]._grid[2][0], states[-1]._grid[2][-1]) != ends or len(steps) > cap:
+    while state._grid[2][0] != lo or state._grid[2][-1] != hi or len(steps) > cap:
         if len(steps) >= cap:
             raise InductionCapError(
                 f"no step sequence onto the cylinder of {w!r} within {cap} steps"
             )
-        kind = next((k for k in order if _keeps(states[-1], k, ends)), None)
+        kind = first if _keeps(state, first, ends) else second if _keeps(state, second, ends) else None
         if kind is None:
             raise InductionCapError(
                 f"no step keeps the cylinder of {w!r} inside the domain "
@@ -314,11 +313,11 @@ def induce_to_cylinder(
             )
         if len(steps) == len(start.steps):
             _inducible(iet)
-        state, record = _step(states[-1], kind)
+        state, record = _step(state, kind)
         steps.append(record)
         states.append(state)
         theta = compose(theta, step_morphism(record))
-    return InductionTrace(tuple(steps), tuple(states), states[-1], theta, w, cylinder)
+    return InductionTrace(tuple(steps), tuple(states), state, theta, w, cylinder)
 
 
 def return_words_induction(iet: Iet, w: str, cap: int | None = None) -> frozenset[str]:

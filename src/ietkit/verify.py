@@ -233,39 +233,53 @@ def verify_return_words(
     )
 
 
-def _block(items: list[str], pad: str, brackets: str = "[]") -> str:
-    """A JSON array (or object) of ``items`` as ``json.dumps(indent=2)`` lays it out at ``pad``."""
-    sep = ",\n  " + pad
-    return brackets[0] + sep[1:] + sep.join(items) + "\n" + pad + brackets[1] if items else brackets
-
-
 def _structured(report: VerificationReport) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2)`` for the report's fixed
-    schema: keys in sorted order, strings through the C escaper, and each
-    distinct check rendered once, since return words recur across words."""
+    schema, written from templates: each object is its keys' constant
+    prefixes in sorted order at their indents, only the values go through the
+    C escaper, and the pieces are joined once.  Each distinct check is
+    written once, since return words recur across words."""
     s = encode_basestring_ascii
-    obj = lambda pad, fields: _block([f"{s(k)}: {v}" for k, v in fields.items()], pad, "{}")
-    null = lambda v: "null" if v is None else s(v)
-    flag = lambda v: "true" if v else "false"
+    out, sep = ['{\n  "failures": ['], "\n    "
+    for f in report.failures:
+        out += (
+            sep, '{\n      "reason": ', s(f.reason),
+            ',\n      "return_word": ', "null" if f.return_word is None else s(f.return_word),
+            ',\n      "transform": ', "null" if f.transform is None else s(f.transform),
+            ',\n      "word": ', s(f.word), "\n    }",
+        )
+        sep = ",\n    "
+    out += (
+        "\n  ]" if report.failures else "]", ',\n  "instance": ', s(report.instance),
+        f',\n  "keane_depth": {report.keane_depth},\n  "max_len": {report.max_len},\n  "records": [',
+    )
     seen: dict[ReturnWordCheck, str] = {}
-    records = []
+    sep = "\n    "
     for r in report.records:
+        checks = []
         for c in r.checks:
-            if c not in seen:
-                seen[c] = obj(8 * " ", dict(
-                    blocks=s(c.blocks), clustering=flag(c.is_clustering),
-                    matches_instance_permutation=flag(c.matches_instance_permutation),
-                    transform=s(c.transform), word=s(c.word)))
-        theta = {} if r.theta is None else {
-            "theta": obj(6 * " ", {a: s(u) for a, u in sorted(dict(r.theta).items())})}
-        records.append(obj(4 * " ", dict(
-            checks=_block([seen[c] for c in r.checks], 6 * " "), method_agreement=flag(r.method_agreement),
-            return_words=_block([s(u) for u in r.return_words], 6 * " "), **theta, word=s(r.word))))
-    failures = [obj(4 * " ", dict(reason=s(f.reason), return_word=null(f.return_word),
-                                  transform=null(f.transform), word=s(f.word))) for f in report.failures]
-    return obj("", dict(
-        failures=_block(failures, "  "), instance=s(report.instance), keane_depth=str(report.keane_depth),
-        max_len=str(report.max_len), records=_block(records, "  "), words_checked=str(report.words_checked)))
+            text = seen.get(c)
+            if text is None:
+                text = seen[c] = (
+                    f'{{\n          "blocks": {s(c.blocks)},\n          "clustering": '
+                    f'{"true" if c.is_clustering else "false"},\n          "matches_instance_permutation": '
+                    f'{"true" if c.matches_instance_permutation else "false"},\n          "transform": '
+                    f'{s(c.transform)},\n          "word": {s(c.word)}\n        }}')
+            checks.append(text)
+        checks = ",\n        ".join(checks)
+        words = ",\n        ".join(map(s, r.return_words))
+        theta = ",\n        ".join([f"{s(a)}: {s(u)}" for a, u in sorted(dict(r.theta or ()).items())])
+        if r.theta is not None:
+            theta = f',\n      "theta": {{\n        {theta}\n      }}' if theta else ',\n      "theta": {}'
+        out += (
+            sep, '{\n      "checks": ', f"[\n        {checks}\n      ]" if checks else "[]",
+            ',\n      "method_agreement": ', "true" if r.method_agreement else "false",
+            ',\n      "return_words": ', f"[\n        {words}\n      ]" if words else "[]",
+            theta, ',\n      "word": ', s(r.word), "\n    }",
+        )
+        sep = ",\n    "
+    out += ("\n  ]" if report.records else "]", f',\n  "words_checked": {report.words_checked}\n}}')
+    return "".join(out)
 
 
 def emit_report(report: VerificationReport, fmt: str = "text") -> bytes:

@@ -14,6 +14,7 @@ random ones.
 """
 
 import pathlib
+from itertools import accumulate
 
 import pytest
 
@@ -27,7 +28,7 @@ from ietkit.cli import parse_iet_file  # noqa: E402
 from ietkit.iet import (  # noqa: E402
     _K, EMPTY, CapExceededError, Connection, IncompleteScanError, Interval, KeaneVerdict,
 )
-from ietkit.rauzy import InductionCapError, induce_to_cylinder  # noqa: E402
+from ietkit.rauzy import RIGHT, InductionCapError, induce_to_cylinder, rauzy_left, rauzy_right  # noqa: E402
 
 DATA = pathlib.Path(__file__).parent / "data"
 FILES = {name: parse_iet_file(str(DATA / name)) for name in ("golden.iet", "sqrt2_4.iet")}
@@ -493,6 +494,42 @@ def test_rauzy_states_equal_their_quadnum_twins(name):
                     assert state.translation(c) == other.translation(c)
                 seen += 1
     assert seen > 1000
+
+
+def placed_oracle(state: Iet) -> tuple[list, list, list]:
+    """``(bounds, rows, image cuts)`` of ``state`` summed as QuadNums from its
+    lengths, origin and image order, with rows ``(letter, right end, translation)``."""
+    lengths = state.lengths
+    bounds = list(accumulate((lengths[c] for c in state.alphabet), initial=state.origin))
+    cuts = list(accumulate((lengths[c] for c in state.image_order_letters()), initial=state.origin))
+    image_left = dict(zip(state.image_order_letters(), cuts))
+    rows = [(c, bounds[i + 1], image_left[c] - bounds[i]) for i, c in enumerate(state.alphabet)]
+    return bounds, rows, cuts
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances, st.lists(st.sampled_from(["right", "left"]), max_size=8))
+def test_each_placed_state_equals_the_exchange_of_its_quadnums(iet, kinds):
+    """Every state that a Rauzy step places, after up to 8 steps on either
+    side, has the pairs of the exchange built from its QuadNum lengths, origin
+    and permutation, and both have the bounds, rows and image cuts of the
+    QuadNum sums, so the check does not rest on ``_place`` alone."""
+    states = [iet]
+    for kind in kinds:
+        try:
+            states.append((rauzy_right if kind == RIGHT else rauzy_left)(states[-1])[0])
+        except ValueError:  # a reducible permutation, or a zero connection
+            break
+    for state in states:
+        other = twin(state)
+        assert (state._grid, state._image_cuts, state._lens) == (other._grid, other._image_cuts, other._lens)
+        _, _, bounds, rows = state._grid
+        rights, taus = state._nums(row[1:3] for row in rows), state._nums(row[3:] for row in rows)
+        assert placed_oracle(state) == (
+            state._nums(bounds),
+            [(row[0], right, tau) for row, right, tau in zip(rows, rights, taus)],
+            state._nums(state._image_cuts),
+        )
 
 
 @st.composite

@@ -1,7 +1,8 @@
 """The shortcuts of `verify`'s Rauzy steps against the work they replace.
 
 A step builds its post-step alphabet and its morphism without re-checking
-them, a state builds its permutation only when read, the step check tests
+them, `compose` looks a one-letter image up without joining it, a state
+builds its permutation only when read, the step check tests
 containment on lattice pairs, and a return word takes the clustering check
 of a conjugate already checked.  Each shortcut is compared here with the
 checked or recomputed value, on every word up to length 8 of two instances,
@@ -21,7 +22,7 @@ import ietkit.verify
 from ietkit import Iet, OrderedAlphabet, Permutation, QuadNum
 from ietkit.bwt import clustering_report
 from ietkit.cli import main, parse_iet_file
-from ietkit.morphisms import Morphism, substitution
+from ietkit.morphisms import Morphism, compose, identity, make_alpha, substitution
 from ietkit.rauzy import (
     LEFT, RIGHT, TOP_LONGER, TOP_SHORTER, _step, _verify_induced, induce_to_cylinder, step_morphism,
 )
@@ -58,6 +59,31 @@ def test_each_step_morphism_is_the_checked_substitution(traces):
         assert (got.source, got.target, got.images) == (expected.source, expected.target, expected.images)
         # The checked constructor accepts it unchanged.
         assert Morphism(got.source, got.target, got.images) == got
+
+
+def joined_images(f, g):
+    """``compose(f, g).images`` as every image was once built: each joined, keyed in ``g.source`` order."""
+    return {c: "".join([f.images[x] for x in g.images[c]]) for c in g.source}
+
+
+def test_compose_equals_the_joined_images_in_source_order(instance, traces):
+    for trace in traces.values():
+        theta = identity(instance.alphabet)
+        for r in trace.steps:
+            step = step_morphism(r)
+            got = compose(theta, step)
+            assert list(got.images.items()) == list(joined_images(theta, step).items())
+            theta = got
+        assert theta == trace.theta
+    # Inner morphisms with multi-letter images, one keyed out of source order.
+    inner = [t.theta for t in traces.values() if max(map(len, t.theta.images.values())) > 2]
+    assert inner
+    for g in inner + [Morphism(g.source, g.target, dict(reversed(g.images.items()))) for g in inner]:
+        for a, b in zip(instance.alphabet, instance.alphabet.letters[1:]):
+            f = make_alpha(a, b, instance.alphabet)
+            got = compose(f, g)
+            assert list(got.images) == list(g.source)
+            assert list(got.images.items()) == list(joined_images(f, g).items())
 
 
 def test_each_unchecked_alphabet_equals_the_checked_one(traces):
@@ -220,6 +246,22 @@ def test_verify_computes_each_cylinder_once_per_method_and_checks_every_piece(mo
     # follows the moved letter's piece, which comes back in two base steps.
     assert landings == moved
     assert unchecked == []
+
+
+def test_verify_checks_and_composes_each_step_once(monkeypatch, capsys):
+    counts = {"_step": 0, "_verify_induced": 0, "compose": 0}
+    for name in counts:
+        original = getattr(ietkit.rauzy, name)
+
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(ietkit.rauzy, name, counted)
+    assert main(["verify", str(DATA / "golden.iet"), "--max-len", "10", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["words_checked"] == 120
+    assert counts["_step"] > 0
+    assert counts["_verify_induced"] == counts["compose"] == counts["_step"]
 
 
 def test_each_resumed_walk_advances_the_cylinder_rule_by_one_letter(monkeypatch, capsys):
