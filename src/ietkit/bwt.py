@@ -13,21 +13,25 @@ permutation is order-reversing.
 Both transforms share one rotation sort that multiplies the compared
 prefix by T each round: the key of a cyclic position is its own rank and
 the ranks of the positions k, 2k, ..., (T-1)k letters after it, read as
-one string, so a transform of n letters takes O(log_T n) rounds of
-O(n log n) string comparisons and O(T n) memory.  Ranks are code points,
-starting from the alphabet's rank digits (:meth:`OrderedAlphabet.key`), so a
-transform takes at most MAX_TRANSFORM_LETTERS letters.
+one string.  T is the square root of the compared span, held between 16
+and 64, so a span of up to 4096 letters takes at most two rounds of
+O(n log n) string comparisons and O(T n) memory.  A repeated entry is sorted
+once.  Ranks are code points, from the alphabet's rank digits
+(:meth:`OrderedAlphabet.key`), so a transform takes at most MAX_TRANSFORM_LETTERS letters.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
-from collections.abc import Iterable, Sequence
+from math import isqrt
 
 from .words import OrderedAlphabet, Permutation, _cycle_words, is_lyndon, parikh
 
-# A rotation sort round multiplies the compared prefix length by _T.
+# A rotation sort round multiplies the compared prefix by T = ⌈√span⌉, held in [_T, _T_MAX].
 _T = 16
+_T_MAX = 64
 # Digits are code points, so the sort ranks at most this many positions.
 MAX_TRANSFORM_LETTERS = 0x10FFFF
 
@@ -51,10 +55,10 @@ class ClusteringReport:
     is_perfect: bool
 
 
-def _rotation_sort(entries: tuple[str, ...], alphabet: OrderedAlphabet, span: int) -> str:
-    """Last letters of the rotations of all ``entries``, sorted by the
-    infinite periodic words they start, compared on their first ``span``
-    letters.
+def _rotation_sort(copies: dict[str, int], alphabet: OrderedAlphabet, span: int) -> str:
+    """Last letters of the rotations of the entries of ``copies``, once per
+    copy, sorted by the infinite periodic words they start, compared on
+    their first ``span`` letters.
 
     Each position carries one digit, a character whose code point is the
     rank of its first k letters: its alphabet rank when k is 1.  A round
@@ -64,10 +68,12 @@ def _rotation_sort(entries: tuple[str, ...], alphabet: OrderedAlphabet, span: in
     key is distinct or the keys rank ``span`` letters; positions still tied
     then start the same rotation, so they carry the same last letter.
     """
+    entries = tuple(copies)
     digits = "".join(map(alphabet.key, entries))
     keys: Sequence[str] = digits
     unique = set(keys)
     n = len(keys)
+    t = min(_T_MAX, max(_T, isqrt(span - 1) + 1))
     k = 1
     while k < span and len(unique) < n:
         if k > 1:
@@ -78,12 +84,14 @@ def _rotation_sort(entries: tuple[str, ...], alphabet: OrderedAlphabet, span: in
         for w in entries:
             m = len(w)
             step = (k - 1) % m + 1  # k letters further on, cyclically
-            ext = digits[start : start + m] * -(-(m + (_T - 1) * step) // m)
-            keys += [ext[i : i + _T * step : step] for i in range(m)]
+            ext = digits[start : start + m] * -(-(m + (t - 1) * step) // m)
+            keys += [ext[i : i + t * step : step] for i in range(m)]
             start += m
         unique = set(keys)
-        k *= _T
+        k *= t
     last = "".join(w[-1] + w[:-1] for w in entries)
+    if len(entries) < sum(copies.values()):
+        last = [c * copies[w] for w in entries for c in w[-1] + w[:-1]]
     return "".join([last[p] for p in sorted(range(n), key=keys.__getitem__)])
 
 
@@ -100,10 +108,10 @@ def bwt(w: str, alphabet: OrderedAlphabet) -> str:
     if not w:
         raise ValueError("cannot transform the empty word")
     _require_size(len(w))
-    return _rotation_sort((w,), alphabet, len(w))
+    return _rotation_sort({w: 1}, alphabet, len(w))
 
 
-def _require_lyndon_entries(entries: tuple[str, ...], alphabet: OrderedAlphabet) -> None:
+def _require_lyndon_entries(entries: Collection[str], alphabet: OrderedAlphabet) -> None:
     if not entries:
         raise ValueError("empty multiset")
     for w in entries:
@@ -117,12 +125,12 @@ def ebwt(entries: Iterable[str], alphabet: OrderedAlphabet) -> str:
     Rotations of all entries are sorted by omega-order; rotations with equal
     infinite powers are identical strings, so ties cannot change the output.
     """
-    entries = tuple(entries)
-    _require_size(sum(map(len, entries)))
-    _require_lyndon_entries(entries, alphabet)
+    copies = Counter(entries)
+    _require_size(sum(len(w) * c for w, c in copies.items()))
+    _require_lyndon_entries(copies, alphabet)
     # Two distinct powers u^w and v^w differ within |u| + |v| letters, so
     # prefixes of twice the longest entry decide the omega-order exactly.
-    return _rotation_sort(entries, alphabet, 2 * max(len(w) for w in entries))
+    return _rotation_sort(copies, alphabet, 2 * max(map(len, copies)))
 
 
 def inverse_ebwt(s: str, alphabet: OrderedAlphabet) -> tuple[str, ...]:
@@ -130,9 +138,9 @@ def inverse_ebwt(s: str, alphabet: OrderedAlphabet) -> tuple[str, ...]:
 
     Computed through the standard permutation sigma: positions of ``s`` are
     stably sorted by letter, and the i-th position of the sorted column is
-    matched with the i-th occurrence of the same letter in ``s``.  The
-    letters of ``s`` along each cycle of sigma spell a conjugate of one
-    entry, and its Lyndon conjugate is that entry.
+    matched with the i-th occurrence of the same letter in ``s``.  Sigma
+    sends each sorted rotation to the one a letter on, so the sorted column
+    along a cycle spells an entry from its least rotation, the entry itself.
     """
     if not s:
         raise ValueError("cannot invert the empty string")
@@ -144,7 +152,8 @@ def inverse_ebwt(s: str, alphabet: OrderedAlphabet) -> tuple[str, ...]:
     # alphabet order.  Its i-th position holds the i-th occurrence of its
     # letter, so the sorted positions are the standard permutation itself.
     sigma = [i for c in alphabet.letters for i in occurrences.get(c, ())]
-    return _cycle_words(sigma, s, alphabet)
+    first = "".join([c * len(occurrences.get(c, ())) for c in alphabet.letters])
+    return _cycle_words(sigma, first, alphabet)
 
 
 def _block_report(transform: str, alphabet: OrderedAlphabet) -> ClusteringReport:

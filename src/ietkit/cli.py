@@ -38,7 +38,7 @@ from .instance import parse_iet_file
 from .morphisms import Morphism
 from .rauzy import InductionCapError, induce_to_cylinder, rauzy_left, rauzy_right, step_morphism
 from .verify import KeaneCheckFailed, emit_report, verify_return_words
-from .words import OrderedAlphabet, Permutation
+from .words import OrderedAlphabet, Permutation, lyndon_representative, primitive_root
 
 # Up-front work budgets of the commands that follow orbits, in orbit steps
 # and in letters of the language.  Each is over 100 times the largest call
@@ -172,10 +172,11 @@ def _orders_for(sample: LanguageSample, entries, image_order, spec: str):
         if token == "pi":
             if image_order is not None:
                 return image_order
-            if len(entries) > 1:
-                report = multiset_clustering_report(entries, sample.alphabet)
-            else:
-                report = clustering_report(entries[0], sample.alphabet)
+            # The language depends on the entries' conjugacy classes only; u^p
+            # has the transform of p copies of u's Lyndon conjugate.
+            roots = map(primitive_root, entries)
+            lyndon = [lyndon_representative(u, sample.alphabet) for u, p in roots for _ in range(p)]
+            report = multiset_clustering_report(lyndon, sample.alphabet)
             if not report.is_clustering or report.support != sample.alphabet:
                 raise ValueError(
                     f"source is not clustering over {sample.alphabet}, cannot derive the pi order"

@@ -95,11 +95,13 @@ def diet_action(diet: Diet) -> Permutation:
 
 def orbit_words(diet: Diet, alphabet: OrderedAlphabet) -> tuple[str, ...]:
     """One Lyndon word per orbit: the block letters read along each cycle of
-    :func:`diet_action`, normalized to their Lyndon conjugate and sorted.
+    :func:`diet_action` from its least point, sorted.
 
     An orbit word is primitive: were it u^p with p >= 2, T^|u| would shift
     its start by one amount p times and come back, so by 0, and the orbit
-    would close after |u| steps.
+    would close after |u| steps.  It is Lyndon from its least point: blocks
+    are in alphabet order and each is one translation, so a smaller point
+    never codes a larger word.
     """
     if len(alphabet) != len(diet.composition):
         raise ValueError("alphabet size does not match the number of parts")

@@ -278,11 +278,14 @@ def _cycles(images: Sequence[int]) -> list[list[int]]:
 
 
 def _cycle_words(images: Sequence[int], labels: Sequence[str], alphabet: OrderedAlphabet) -> tuple[str, ...]:
-    """The Lyndon conjugate of the word ``labels`` spells along each cycle of
-    ``images``, sorted by ``alphabet``.  A cycle that spells a proper power
-    raises ValueError."""
-    words = ("".join([labels[i] for i in cyc]) for cyc in _cycles(images))
-    return tuple(sorted((lyndon_representative(w, alphabet) for w in words), key=alphabet.key))
+    """The words ``labels`` spells along the cycles of ``images`` from their least
+    elements, sorted by ``alphabet``: Lyndon words, as the callers' labels never spell
+    a larger word from a smaller element.  A proper power raises ValueError."""
+    words = ["".join([labels[i] for i in cyc]) for cyc in _cycles(images)]
+    for w in words:
+        if not is_primitive(w):
+            raise ValueError(f"{w!r} is not primitive, so it has no Lyndon conjugate")
+    return tuple(sorted(words, key=alphabet.key))
 
 
 def compare_lex(u: str, v: str, alphabet: OrderedAlphabet) -> int:

@@ -106,3 +106,26 @@ def test_stdout_is_pinned(monkeypatch, capsys, argv, digest):
     monkeypatch.chdir(ROOT)  # the instance paths are printed as given
     assert main(argv.split(" ")) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# A multiset source whose entries are rotations or powers of Lyndon words has
+# the language, and so the pi order, of those Lyndon words.
+CONJUGATE_SOURCES = [
+    ("multiset:aca,ba", "multiset:aac,ab"),
+    ("multiset:baba", "multiset:ab"),
+    ("multiset:caa,abab", "multiset:aac,ab,ab"),
+]
+
+
+@pytest.mark.parametrize("command", ["classify --depth 4", "extgraph --word ε --layout", "extgraph --word a --layout"])
+@pytest.mark.parametrize("orders", ["pi:A", "A:pi", "pi:pi"])
+@pytest.mark.parametrize("sources", CONJUGATE_SOURCES, ids=[" ".join(pair) for pair in CONJUGATE_SOURCES])
+def test_a_multiset_pi_order_depends_on_the_conjugacy_classes_only(capsys, command, orders, sources):
+    printed = []
+    for source in sources:
+        argv = command.split(" ") + ["--source", source, "--orders", orders]
+        assert main(argv) == 0
+        first, rest = capsys.readouterr().out.split("\n", 1)
+        assert first == f"source: {source}"
+        printed.append(rest)
+    assert printed[0] == printed[1]

@@ -2,6 +2,7 @@
 quadratic code they replaced, kept here as oracles."""
 
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -376,3 +377,108 @@ def test_transforms_over_a_letter_above_u_ffff(order):
     entries = [lyndon_representative(standard_word(letters[1], letters[0], [2, 1], 40), alphabet)] * 2
     entries.append(letters[-1])
     assert ebwt(entries, alphabet) == naive_ebwt(entries, alphabet)
+
+
+# -- repeated entries and the reach of two rounds -----------------------------------
+#
+# The sort ranks each distinct entry once and writes each last letter once
+# per copy, and a round reaches the square root of the span in letters, at
+# least T and at most T_MAX, so spans up to T_MAX**2 take at most two rounds.
+
+from ietkit.bwt import _T_MAX as T_MAX  # noqa: E402
+
+from test_diet import orbit_words_oracle  # noqa: E402
+
+
+@pytest.mark.parametrize(
+    "w, rounds",
+    [
+        ("aab" * 3, 1),  # a first round of T letters covers the span
+        (("a" * 15 + "b") * 16, 2),  # 256 letters: T, then T * T
+        (("a" * 15 + "b") * 256, 2),  # 4096 letters: T_MAX, then T_MAX ** 2
+        (("a" * 16 + "b") * 241, 3),  # 4097 letters, a power: a third round
+    ],
+    ids=["9-letters", "256-letters", "4096-letters", "4097-letters"],
+)
+def test_rounds_reach_the_span(monkeypatch, w, rounds):
+    # Each round builds one set of keys after the first letters' set; a
+    # power's rotations stay tied, so its rounds run to the span.
+    built = []
+
+    def counted_set(keys):
+        built.append(len(keys))
+        return set(keys)
+
+    monkeypatch.setattr(sys.modules["ietkit.bwt"], "set", counted_set, raising=False)
+    alphabet = OrderedAlphabet("ab")
+    assert bwt(w, alphabet) == naive_bwt(w, alphabet)
+    assert len(built) == 1 + rounds
+
+
+@settings(max_examples=200, deadline=None)
+@given(lyndon_multisets(), st.integers(1, 4), st.data())
+def test_ebwt_of_repeated_entries_writes_each_letter_once_per_copy(case, r, data):
+    alphabet, entries = case
+    distinct = list(dict.fromkeys(entries))
+    repeated = data.draw(st.permutations(distinct * r))
+    assert ebwt(repeated, alphabet) == "".join(c * r for c in ebwt(distinct, alphabet))
+
+
+@st.composite
+def narrow_alphabet_and_letters(draw):
+    """An alphabet from ORDERS and two or three letters of it: one byte a
+    letter, so the direct sort's rotations at the reach stay small."""
+    order = draw(st.sampled_from(ORDERS))
+    used = draw(st.lists(st.sampled_from(order), min_size=2, max_size=min(3, len(order)), unique=True))
+    return OrderedAlphabet(order), used
+
+
+@st.composite
+def reach_word(draw, letters, n):
+    """A Sturmian prefix, or a power of a word longer than T cut to n letters."""
+    if draw(st.booleans()):
+        return draw(sturmian_prefix(letters, n))
+    u = "".join(draw(st.lists(st.sampled_from(letters), min_size=T + 1, max_size=3 * T)))
+    return (u * (n // len(u) + 1))[:n]
+
+
+@pytest.mark.parametrize("n", [T_MAX * T_MAX, T_MAX * T_MAX + 1])
+@settings(max_examples=8, deadline=None)
+@given(case=narrow_alphabet_and_letters(), data=st.data())
+def test_bwt_at_the_reach_of_two_rounds(n, case, data):
+    alphabet, letters = case
+    w = data.draw(reach_word(letters, n))
+    assert bwt(w, alphabet) == naive_bwt(w, alphabet)
+
+
+@pytest.mark.parametrize("longest", [T_MAX * T_MAX // 2, T_MAX * T_MAX // 2 + 1])
+@settings(max_examples=6, deadline=None)
+@given(case=narrow_alphabet_and_letters(), data=st.data())
+def test_ebwt_at_the_reach_of_two_rounds(longest, case, data):
+    # The span is twice the longest entry: 4096 letters, two rounds, and
+    # 4098, three.
+    alphabet, letters = case
+    w = data.draw(reach_word(letters, longest))
+    hypothesis.assume(naive_primitive_root(w)[1] == 1)
+    entries = [naive_lyndon_representative(w, alphabet)] * data.draw(st.integers(1, 2))
+    for _ in range(data.draw(st.integers(0, 2))):
+        u = data.draw(reach_word(letters, data.draw(st.integers(T + 1, 200))))
+        entries.append(naive_lyndon_representative(naive_primitive_root(u)[0], alphabet))
+    entries = data.draw(st.permutations(entries + data.draw(st.lists(st.sampled_from(letters), max_size=2))))
+    assert ebwt(entries, alphabet) == naive_ebwt(entries, alphabet)
+
+
+@st.composite
+def diets_over_shuffled_alphabets(draw):
+    """A discrete exchange whose alphabet is not in code point order."""
+    order = draw(st.sampled_from(("cab", "ba", "dbca", "zyx", "nab", "\U0001d51eab", "fedcba")))
+    d = len(order)
+    parts = draw(st.lists(st.integers(1, 9), min_size=d, max_size=d))
+    return Diet(parts, Permutation(draw(st.permutations(range(d))))), OrderedAlphabet(order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(diets_over_shuffled_alphabets())
+def test_orbit_words_over_alphabets_out_of_code_point_order(case):
+    diet, alphabet = case
+    assert orbit_words(diet, alphabet) == orbit_words_oracle(diet, alphabet)
